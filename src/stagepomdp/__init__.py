@@ -54,9 +54,11 @@ from .strategies import (
 from .epochs import (
     EpochSample,
     ExtendedTrajectory,
+    PlayBatch,
     epoch_memory_operator,
     geometric_tail,
     sample_epochs,
+    simulate_batch,
     simulate_epochs_gh,
     simulate_gh,
     worker_rng,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystem
-from .model import PomdpModel, validate_stage_duration
+from .model import PomdpModel, stage_duration_transform, validate_stage_duration
 from .strategies import Strategy
 
 #: residual tolerance for the epoch-operator linear solve
@@ -167,6 +167,169 @@ def simulate_epochs_gh(model: PomdpModel, strategy: Strategy, h, k,
     if horizon > t_k:
         marks[t_k:] = (rng.random(horizon - t_k) < h).astype(np.int8)
     return _simulate(model, strategy, marks, rng), epochs
+
+
+@dataclass(frozen=True)
+class PlayBatch:
+    """Per-play summaries of a batch of independent plays.
+
+    ``sums[b, c]`` is play b's payoff summed over its first ``sums_at[c]``
+    stages, each stage weighted by ``stage_weights`` when those are given.
+    With k pinned epochs, ``boundaries[b]`` holds T_0..T_k and, for epoch i
+    (0-based), ``epoch_states[b, i]`` is the state during the epoch (it is
+    frozen there), ``epoch_actions[b, i]`` the action at its last stage and
+    ``epoch_sums[b, i]`` its payoff sum; without pinned epochs these have
+    no epoch columns.
+    """
+
+    sums: np.ndarray
+    boundaries: np.ndarray
+    epoch_states: np.ndarray
+    epoch_actions: np.ndarray
+    epoch_sums: np.ndarray
+
+
+def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
+                   seed_or_rng, *, sums_at=(), stage_weights=None,
+                   epochs=0) -> PlayBatch:
+    """Simulate ``n_plays`` independent plays of the duration-h model.
+
+    Each play runs ``max(sums_at)`` stages with Bernoulli(h) marks or, with
+    ``epochs=k``, runs through its k-th epoch and at least ``max(sums_at)``
+    stages, its k epoch lengths drawn first as in :func:`simulate_epochs_gh`.
+
+    A strategy with a hidden-memory form (``strategy.memory_form``) is
+    simulated for all plays at once: state and memory are arrays over the
+    plays and every draw is an inverse-CDF lookup.  Any other strategy plays
+    one trajectory at a time through its cursor, by :func:`simulate_gh` or
+    :func:`simulate_epochs_gh`, with their random stream.  The two paths
+    draw different random streams under the same law.
+    """
+    h = validate_stage_duration(h)
+    if n_plays < 1:
+        raise ValueError("n_plays must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    sums_at = np.asarray(sums_at, dtype=np.int64).reshape(-1)
+    horizon = int(sums_at.max()) if sums_at.size else 0
+    if epochs == 0 and horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if sums_at.size and sums_at.min() < 1:
+        raise ValueError("payoff sums need at least one stage")
+    rng = as_generator(seed_or_rng)
+    form = strategy.memory_form(model.n_signals)
+    if form is None:
+        return _cursor_plays(model, strategy, h, n_plays, rng, sums_at,
+                             stage_weights, epochs, horizon)
+    return _batched_plays(model, form, h, n_plays, rng, sums_at,
+                          stage_weights, epochs, horizon)
+
+
+def _cursor_plays(model, strategy, h, n_plays, rng, sums_at, stage_weights,
+                  k, horizon):
+    sums, bounds, states, actions, epoch_sums = [], [], [], [], []
+    for _ in range(n_plays):
+        if k:
+            traj, sample = simulate_epochs_gh(model, strategy, h, k, rng,
+                                              min_horizon=horizon)
+            edges = sample.boundaries
+        else:
+            traj = simulate_gh(model, strategy, h, horizon, rng)
+            edges = np.zeros(1, dtype=np.int64)
+        payoffs = model.payoff[traj.states, traj.actions]
+        if stage_weights is None:
+            sums.append(np.cumsum(payoffs)[sums_at - 1])
+        else:
+            sums.append(np.array([stage_weights[:t] @ payoffs[:t]
+                                  for t in sums_at]))
+        bounds.append(edges)
+        states.append(traj.states[edges[:-1]])
+        actions.append(traj.actions[edges[1:] - 1])
+        epoch_sums.append(np.add.reduceat(payoffs[:edges[-1]], edges[:-1])
+                          if k else np.zeros(0))
+    return PlayBatch(np.stack(sums), np.stack(bounds), np.stack(states),
+                     np.stack(actions), np.stack(epoch_sums))
+
+
+def _cdf(probs):
+    """Cumulative rows whose last entry is exactly 1.
+
+    An inverse-CDF draw of u in [0, 1) then never runs past the last index,
+    whatever the roundoff of the cumulative sum.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _draw(cdf_rows, u):
+    """One inverse-CDF draw per row, for uniforms ``u`` of shape (rows, 1)."""
+    return (cdf_rows > u).argmax(axis=1)
+
+
+def _batched_plays(model, form, h, n_plays, rng, sums_at, stage_weights, k,
+                   horizon):
+    rows = np.arange(n_plays)
+    signal_map, payoff = model.signal_map, model.payoff
+    # without pinned epochs a mark is a Bernoulli(h) draw independent of
+    # the rest, so the duration-h kernel folds it into the transition draw
+    kernel = model.transition if k else stage_duration_transform(model, h).transition
+    transition_cdf = _cdf(kernel)
+    action_cdf = _cdf(form.action)
+    update_cdf = _cdf(form.update)
+    columns = {}
+    for c, t in enumerate(sums_at.tolist()):
+        columns.setdefault(t, []).append(c)
+
+    # bounds[:, i] = T_i; the last column is a sentinel no stage number meets,
+    # so a play past T_k draws its marks afresh
+    bounds = np.zeros((n_plays, k + 2), dtype=np.int64)
+    bounds[:, -1] = -1
+    if k:
+        lengths = sample_epochs(h, n_plays * k, rng).lengths.reshape(n_plays, k)
+        np.cumsum(lengths, axis=1, out=bounds[:, 1:k + 1])
+    n_stages = max(horizon, int(bounds[:, k].max()))
+
+    sums = np.zeros((n_plays, sums_at.size))
+    total = np.zeros(n_plays)
+    # column k of the epoch records collects the stages after T_k
+    epoch = np.zeros(n_plays, dtype=np.int64)
+    epoch_states = np.zeros((n_plays, k + 1), dtype=np.int64)
+    epoch_actions = np.zeros((n_plays, k + 1), dtype=np.int64)
+    epoch_sums = np.zeros((n_plays, k + 1))
+
+    init_cdf = np.broadcast_to(_cdf(model.init), (n_plays, model.n_states))
+    state = _draw(init_cdf, rng.random((n_plays, 1)))
+    signal = signal_map[state]
+    memory = form.init_memory[signal]
+    for j in range(n_stages):
+        u = rng.random((4 if k else 3, n_plays, 1))
+        action = _draw(action_cdf[memory, signal], u[0])
+        stage_payoff = payoff[state, action]
+        if stage_weights is None:
+            total += stage_payoff
+        else:
+            total += stage_weights[j] * stage_payoff
+        if j + 1 in columns:
+            sums[:, columns[j + 1]] = total[:, None]
+        if k:
+            epoch_states[rows, epoch] = state
+            epoch_actions[rows, epoch] = action
+            epoch_sums[rows, epoch] += stage_payoff
+        if j + 1 == n_stages:
+            break
+        moved = _draw(transition_cdf[state, action], u[1])
+        if k:
+            free = epoch == k
+            mark = (bounds[rows, epoch + 1] == j + 1) | (free & (u[3, :, 0] < h))
+            epoch += mark & ~free
+            moved = np.where(mark, moved, state)
+        state = moved
+        next_signal = signal_map[state]
+        memory = _draw(update_cdf[memory, signal, action, next_signal], u[2])
+        signal = next_signal
+    return PlayBatch(sums, bounds[:, :k + 1], epoch_states[:, :k],
+                     epoch_actions[:, :k], epoch_sums[:, :k])
 
 
 def epoch_memory_operator(matrix, h):

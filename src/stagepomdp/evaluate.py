@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .epochs import as_generator, simulate_gh
+from .epochs import simulate_batch
 from .errors import (
     BudgetExceeded,
     ImpossibleObservation,
@@ -46,13 +46,22 @@ VI_RESIDUAL_TOL = 1e-9
 #: fraction of trailing checkpoints used by the liminf proxy
 TRAILING_WINDOW = 0.2
 
+#: most stages a Monte Carlo discounted play simulates; the payoff weight
+#: beyond it is reported as the estimate's bound
+MC_HORIZON_CAP = 200_000
+
+#: most points a belief lattice may have; C(R+W-1, W-1) grows fast in the
+#: state count W, so larger lattices are refused before they are built
+MAX_LATTICE_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PayoffEstimate:
     """A payoff value with its provenance.
 
     mode is one of 'exact', 'truncated', 'monte_carlo', 'approximate';
-    ``bound`` is a deterministic error bound (truncated/approximate modes),
+    ``bound`` is a deterministic error bound (truncated and approximate
+    modes, and the horizon cut of a Monte Carlo discounted payoff),
     ``std_error``/``n`` describe Monte Carlo noise. ``diagnostics`` carries
     estimator-specific numbers whose sum is the estimate's self-reported
     slack (used by the monotonicity check).
@@ -234,16 +243,12 @@ def longrun_average_mc(model: PomdpModel, strategy: Strategy, h, horizon,
     that checkpoint.
     """
     h = validate_stage_duration(h)
-    rng = as_generator(seed_or_rng)
     checkpoints = np.unique(
         np.linspace(1, horizon, min(n_checkpoints, horizon)).astype(np.int64)
     )
-    per_traj = np.empty((n_traj, len(checkpoints)))
-    for i in range(n_traj):
-        traj = simulate_gh(model, strategy, h, horizon, rng)
-        stage_payoffs = model.payoff[traj.states, traj.actions]
-        cums = np.cumsum(stage_payoffs)
-        per_traj[i] = cums[checkpoints - 1] / checkpoints
+    plays = simulate_batch(model, strategy, h, n_traj, seed_or_rng,
+                           sums_at=checkpoints)
+    per_traj = plays.sums / checkpoints
     curve = per_traj.mean(axis=0)
     if n_traj > 1:
         se = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)
@@ -335,7 +340,8 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
 
     method 'exact' solves the product chain for controller-representable
     strategies and otherwise enumerates to a horizon with tail bound
-    M*(1-lam*h)^T <= tol; 'mc' simulates.
+    M*(1-lam*h)^T <= tol; 'mc' simulates to the same horizon, capped at
+    ``MC_HORIZON_CAP`` stages, and reports M*(1-lam*h)^T as its bound.
     """
     h = validate_stage_duration(h)
     lam = float(lam)
@@ -358,20 +364,20 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
         meta["horizon"] = horizon
         return PayoffEstimate(value, "truncated", bound=bound, metadata=meta)
     if method == "mc":
-        rng = as_generator(seed)
         bound_m = max(model.max_abs_payoff, 1e-300)
         horizon = max(1, math.ceil(math.log(tol / bound_m) / math.log1p(-eff))) \
             if eff < 1.0 else 1
-        horizon = min(horizon, 200_000)
+        horizon = min(horizon, MC_HORIZON_CAP)
         weights = eff * (1.0 - eff) ** np.arange(horizon)
-        samples = np.empty(n_traj)
-        for i in range(n_traj):
-            traj = simulate_gh(model, strategy, h, horizon, rng)
-            samples[i] = weights @ model.payoff[traj.states, traj.actions]
+        plays = simulate_batch(model, strategy, h, n_traj, seed,
+                               sums_at=[horizon], stage_weights=weights)
+        samples = plays.sums[:, 0]
         se = samples.std(ddof=1) / math.sqrt(n_traj) if n_traj > 1 else 0.0
         meta["horizon"] = horizon
         return PayoffEstimate(float(samples.mean()), "monte_carlo",
-                              std_error=float(se), n=n_traj, metadata=meta)
+                              std_error=float(se),
+                              bound=model.max_abs_payoff * (1.0 - eff) ** horizon,
+                              n=n_traj, metadata=meta)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -413,6 +419,12 @@ def _tabular_discounted_value(mh: PomdpModel, eff, sweeps):
 
 
 def _belief_lattice(n_states, resolution):
+    n_points = math.comb(resolution + n_states - 1, n_states - 1)
+    if n_points > MAX_LATTICE_POINTS:
+        raise BudgetExceeded(
+            n_points, MAX_LATTICE_POINTS,
+            f"belief lattice over {n_states} states at resolution {resolution}",
+        )
     points = []
 
     def fill(prefix, remaining, slots):

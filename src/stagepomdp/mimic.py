@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epochs import as_generator, epoch_memory_operator, simulate_epochs_gh
+from .epochs import epoch_memory_operator, simulate_batch
 from .errors import (
     BudgetExceeded,
     InsufficientEpochs,
@@ -39,6 +39,7 @@ from .model import PomdpModel, validate_stage_duration
 from .strategies import (
     DEFAULT_ENUMERATION_BUDGET,
     FiniteStateController,
+    HiddenMemoryForm,
     History,
     SequenceStrategy,
     Strategy,
@@ -343,15 +344,15 @@ def mimic_action_mc(model: PomdpModel, strategy: Strategy, h,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = as_generator(seed_or_rng)
     k = fil.length
-    counts = np.zeros(model.n_actions)
-    accepted = 0
-    for _ in range(n_samples):
-        traj, _ = simulate_epochs_gh(model, strategy, h, k, rng)
-        if filter_trajectory(traj, k) == fil:
-            accepted += 1
-            counts[traj.actions[-1]] += 1
+    plays = simulate_batch(model, strategy, h, n_samples, seed_or_rng, epochs=k)
+    signals = model.signal_map[plays.epoch_states]
+    actions = plays.epoch_actions
+    match = signals[:, 0] == fil.first_signal
+    for i, (action, signal) in enumerate(fil.steps):
+        match &= (actions[:, i] == action) & (signals[:, i + 1] == signal)
+    accepted = int(match.sum())
+    counts = np.bincount(actions[match, k - 1], minlength=model.n_actions)
     if accepted == 0:
         raise NoAcceptedSamples(f"0 of {n_samples} trajectories matched")
     weights = counts / accepted
@@ -431,6 +432,24 @@ class MimicStrategy(Strategy):
     @property
     def truncation_free(self):
         return self.engine is not None
+
+    def memory_form(self, n_signals):
+        """Hidden-memory form of a controller-source mimic; None otherwise.
+
+        The memory is the source memory at the start of the current epoch.
+        From memory q under epoch signal s the boundary memory r has law
+        W_s[q], the action is drawn from rule[r], and the next epoch starts
+        from update[r, a, s'] with r drawn from its posterior given (q, a).
+        """
+        if self.engine is None:
+            return None
+        mixed, ctrl = self.engine.mixed, self.engine.controller
+        joint = np.einsum("sqr,ra->qsar", mixed, ctrl.rule)
+        action = joint.sum(axis=3)
+        posterior = np.divide(joint, action[..., None], out=np.zeros_like(joint),
+                              where=action[..., None] > 0.0)
+        update = np.einsum("qsar,rabz->qsabz", posterior, ctrl.update)
+        return HiddenMemoryForm(ctrl.init_memory, action, update)
 
     def mimic_action(self, history: History) -> MimicAction:
         if self.engine is not None:

@@ -63,6 +63,22 @@ def uniform_action(n_actions):
     return np.full(n_actions, 1.0 / n_actions)
 
 
+@dataclass(frozen=True)
+class HiddenMemoryForm:
+    """A strategy as a table-driven random memory, for batched simulation.
+
+    After first signal s the memory is ``init_memory[s]``; in memory q under
+    current signal s the strategy plays ``action[q, s]``, and after playing
+    a and observing s' the next memory is drawn from ``update[q, s, a, s']``.
+    Sampling the memory gives the same law of play as tracking the
+    posterior over it, which is what the strategy's cursor does.
+    """
+
+    init_memory: np.ndarray   # (signals,)
+    action: np.ndarray        # (memories, signals, actions)
+    update: np.ndarray        # (memories, signals, actions, signals, memories)
+
+
 class StrategyCursor(abc.ABC):
     """Immutable walker along one history; ``step`` returns a new cursor."""
 
@@ -85,6 +101,11 @@ class Strategy(abc.ABC):
     @abc.abstractmethod
     def start(self, first_signal) -> StrategyCursor:
         """Open a cursor at the length-1 history with the given signal."""
+
+    def memory_form(self, n_signals) -> HiddenMemoryForm | None:
+        """The strategy's hidden-memory form over ``n_signals`` signals, or
+        None when it has none."""
+        return None
 
     def act(self, history: History) -> np.ndarray:
         cursor = self.start(history.first_signal)
@@ -135,6 +156,9 @@ class SequenceStrategy(Strategy):
 
     def start(self, first_signal):
         return _SequenceCursor(self, 0)
+
+    def memory_form(self, n_signals):
+        return sequence_as_controller(self, n_signals).memory_form(n_signals)
 
     def act(self, history):
         return self.actions[(history.length - 1) % len(self.actions)]
@@ -267,6 +291,14 @@ class FiniteStateController(Strategy):
         belief[self.init_memory[first_signal]] = 1.0
         return _ControllerCursor(self, belief)
 
+    def memory_form(self, n_signals):
+        n_q, n_a, n_s = self.n_memory, self.n_actions, self.n_signals
+        return HiddenMemoryForm(
+            self.init_memory,
+            np.broadcast_to(self.rule[:, None, :], (n_q, n_s, n_a)),
+            np.broadcast_to(self.update[:, None], (n_q, n_s, n_a, n_s, n_q)),
+        )
+
 
 def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateController:
     """Equivalent controller: memory counts the stage modulo the cycle length."""
@@ -278,29 +310,6 @@ def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateContr
         update[q, :, :, (q + 1) % period] = 1.0
     init_memory = np.zeros(n_signals, dtype=np.int64)
     return FiniteStateController(init_memory, rule, update)
-
-
-class _ReplayCursor(StrategyCursor):
-    """Fallback cursor for strategies that only define ``act``."""
-
-    __slots__ = ("strategy", "history")
-
-    def __init__(self, strategy, history):
-        self.strategy = strategy
-        self.history = history
-
-    def action_distribution(self):
-        return self.strategy.act(self.history)
-
-    def step(self, action, signal):
-        return _ReplayCursor(self.strategy, self.history.child(action, signal))
-
-    def merge_key(self):
-        return self.history
-
-
-def replay_cursor(strategy, first_signal):
-    return _ReplayCursor(strategy, History(first_signal))
 
 
 def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epochs import simulate_epochs_gh, worker_rng
+from .epochs import simulate_batch, worker_rng
 from .errors import GapBoundViolated, NotFullyObserved
 from .evaluate import (
+    TRAILING_WINDOW,
     asymptotic_value_estimate,
     cesaro_average,
     discounted_value_estimate,
@@ -45,8 +46,6 @@ from .strategies import (
     exact_history_distribution,
     sequence_as_controller,
 )
-
-TRAILING_WINDOW_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -270,18 +269,12 @@ def check_epoch_sum_lemma(model: PomdpModel, strategy: Strategy, h, k,
                           n_traj, rng_seed) -> CheckReport:
     """Epoch payoff sum vs (1/h) x boundary payoff, two independent MC batches."""
     h = validate_stage_duration(h)
-    rng_a = worker_rng(rng_seed, 0)
-    rng_b = worker_rng(rng_seed, 1)
-    sums = np.empty(n_traj)
-    for i in range(n_traj):
-        traj, epochs = simulate_epochs_gh(model, strategy, h, k, rng_a)
-        lo = int(epochs.boundaries[k - 1])
-        hi = int(epochs.boundaries[k])
-        sums[i] = model.payoff[traj.states[lo:hi], traj.actions[lo:hi]].sum()
-    boundary = np.empty(n_traj)
-    for i in range(n_traj):
-        traj, _ = simulate_epochs_gh(model, strategy, h, k, rng_b)
-        boundary[i] = model.payoff[traj.states[-1], traj.actions[-1]]
+    sums = simulate_batch(model, strategy, h, n_traj, worker_rng(rng_seed, 0),
+                          epochs=k).epoch_sums[:, k - 1]
+    last = simulate_batch(model, strategy, h, n_traj, worker_rng(rng_seed, 1),
+                          epochs=k)
+    boundary = model.payoff[last.epoch_states[:, k - 1],
+                            last.epoch_actions[:, k - 1]]
     lhs = float(sums.mean())
     se_lhs = float(sums.std(ddof=1) / math.sqrt(n_traj))
     rhs = float(boundary.mean()) / h
@@ -300,19 +293,12 @@ def check_cesaro_alignment(model: PomdpModel, strategy: Strategy, h, big_k,
     h = validate_stage_duration(h)
     if big_k < 10:
         raise ValueError("K must be >= 10")
-    rng = worker_rng(rng_seed, 0)
     t_k = int(math.floor(big_k / h))
-    diffs = np.empty(n_traj)
-    xs = np.empty(n_traj)
-    ys = np.empty(n_traj)
-    for i in range(n_traj):
-        traj, epochs = simulate_epochs_gh(model, strategy, h, big_k, rng,
-                                          min_horizon=t_k)
-        t_big = int(epochs.boundaries[-1])
-        payoffs = model.payoff[traj.states, traj.actions]
-        xs[i] = payoffs[:t_k].mean()
-        ys[i] = payoffs[:t_big].sum() * h / big_k
-        diffs[i] = xs[i] - ys[i]
+    plays = simulate_batch(model, strategy, h, n_traj, worker_rng(rng_seed, 0),
+                           sums_at=[t_k], epochs=big_k)
+    xs = plays.sums[:, 0] / t_k
+    ys = plays.epoch_sums.sum(axis=1) * h / big_k
+    diffs = xs - ys
     se = float(diffs.std(ddof=1) / math.sqrt(n_traj))
     bound = model.max_abs_payoff * (math.sqrt((1.0 - h) / big_k) + h / big_k)
     tolerance = bound + 3.0 * se
@@ -324,7 +310,7 @@ def check_cesaro_alignment(model: PomdpModel, strategy: Strategy, h, big_k,
     )
 
 
-def liminf_trailing(seq, window_fraction=TRAILING_WINDOW_FRACTION):
+def liminf_trailing(seq, window_fraction=TRAILING_WINDOW):
     """Minimum over the trailing window: a conservative finite liminf proxy."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.size == 0:
@@ -334,7 +320,7 @@ def liminf_trailing(seq, window_fraction=TRAILING_WINDOW_FRACTION):
 
 
 def check_liminf_subsequence(seq, indices, gap_bound, tolerance,
-                             window_fraction=TRAILING_WINDOW_FRACTION
+                             window_fraction=TRAILING_WINDOW
                              ) -> CheckReport:
     """Trailing liminf proxies of a sequence and a bounded-gap subsequence.
 

@@ -7,12 +7,32 @@ from stagepomdp.epochs import (
     epoch_memory_operator,
     geometric_tail,
     sample_epochs,
+    simulate_batch,
     simulate_epochs_gh,
     simulate_gh,
     worker_rng,
 )
-from stagepomdp.strategies import SequenceStrategy
-from stagepomdp.verify import figure1_model, random_pomdp_model
+from stagepomdp.evaluate import (
+    controller_product_chain,
+    discounted_payoff,
+    longrun_average_mc,
+)
+from stagepomdp.mimic import build_mimic_strategy, mimic_action_mc
+from stagepomdp.model import make_model
+from stagepomdp.strategies import (
+    FiniteStateController,
+    History,
+    SequenceStrategy,
+    Strategy,
+    TableStrategy,
+    exact_history_distribution,
+)
+from stagepomdp.verify import (
+    alternating_controller,
+    figure1_model,
+    mixing_controller,
+    random_pomdp_model,
+)
 
 
 def test_sample_epochs_degenerate_at_one():
@@ -104,6 +124,162 @@ def test_simulate_epochs_horizon_and_minimum():
     assert traj.marks.sum() == 5
     traj, epochs = simulate_epochs_gh(m, seq, 0.5, 5, 9, min_horizon=40)
     assert traj.horizon >= 40
+
+
+# --- batched simulation -------------------------------------------------------
+
+def stochastic_update_controller(model):
+    """Two memories, mixed rules, and memory updates that depend on (a, s)."""
+    rule = [[0.8, 0.2], [0.3, 0.7]]
+    update = np.zeros((2, 2, model.n_signals, 2))
+    for q in range(2):
+        for a in range(2):
+            for s in range(model.n_signals):
+                stay = 0.2 + 0.25 * q + 0.3 * a + 0.15 * s
+                update[q, a, s] = [stay, 1.0 - stay] if q == 0 else [1.0 - stay, stay]
+    return FiniteStateController(np.zeros(model.n_signals, dtype=np.int64),
+                                 rule, update)
+
+
+def controller_finite_mean(model, controller, h, t):
+    """Exact expected mean payoff of the first t stages, from the product chain."""
+    chain, dist, payoffs = controller_product_chain(model, controller, h)
+    total = 0.0
+    for _ in range(t):
+        total += dist @ payoffs
+        dist = dist @ chain
+    return total / t
+
+
+def strategy_finite_mean(model, strategy, t):
+    """Exact expected mean payoff of the first t stages at h = 1, by enumeration."""
+    total = 0.0
+    for depth in range(1, t + 1):
+        for (hist, w), p in exact_history_distribution(model, strategy, depth).items():
+            total += p * float(model.payoff[w] @ strategy.act(hist))
+    return total / t
+
+
+def batched_mean(model, strategy, h, t, n_plays, seed):
+    plays = simulate_batch(model, strategy, h, n_plays, seed, sums_at=[t])
+    means = plays.sums[:, 0] / t
+    return means.mean(), means.std(ddof=1) / math.sqrt(n_plays)
+
+
+@pytest.mark.parametrize("name", ["stochastic_update", "cycle"])
+def test_batched_law_controllers(name):
+    m = random_pomdp_model()
+    ctrl = (stochastic_update_controller(m) if name == "stochastic_update"
+            else alternating_controller(m))
+    h, t = 0.5, 30
+    mean, se = batched_mean(m, ctrl, h, t, 20_000, worker_rng(41, 0))
+    assert abs(mean - controller_finite_mean(m, ctrl, h, t)) <= 4.0 * se
+
+
+def test_batched_law_controller_source_mimic():
+    m = random_pomdp_model()
+    mimic = build_mimic_strategy(m, stochastic_update_controller(m), 0.5)
+    t = 4
+    mean, se = batched_mean(m, mimic, 1.0, t, 40_000, worker_rng(42, 0))
+    assert abs(mean - strategy_finite_mean(m, mimic, t)) <= 4.0 * se
+
+
+def two_cycle_model():
+    """w1 and w2 swap on every real transition; only w1 pays."""
+    transition = np.zeros((2, 2, 2))
+    transition[0, :, 1] = 1.0
+    transition[1, :, 0] = 1.0
+    return make_model(["w1", "w2"], ["a", "b"], ["s"], [0, 0],
+                      [[1.0, 1.0], [0.0, 0.0]], transition, [1.0, 0.0])
+
+
+def test_batched_freeze_contract():
+    m = two_cycle_model()
+    k = 6
+    plays = simulate_batch(m, SequenceStrategy.pure([0, 1], 2), 0.4, 500, 17,
+                           sums_at=[60], epochs=k)
+    lengths = np.diff(plays.boundaries, axis=1)
+    assert plays.boundaries.shape == (500, k + 1)
+    assert np.all(lengths >= 1)
+    # the state moves at every mark and nowhere else
+    assert np.all(plays.epoch_states[:, 1:] != plays.epoch_states[:, :-1])
+    assert np.array_equal(plays.epoch_sums, lengths * (plays.epoch_states == 0))
+
+
+def test_batched_pinned_epochs_run_to_horizon():
+    m = two_cycle_model()
+    horizon = 40
+    plays = simulate_batch(m, SequenceStrategy.pure([0, 1], 2), 0.5, 400, 3,
+                           sums_at=[horizon], epochs=3)
+    t_k = plays.boundaries[:, -1]
+    # only w1 pays, so the payoff of the stages after T_k counts their w1 stages
+    after = plays.sums[:, 0] - plays.epoch_sums.sum(axis=1)
+    early = t_k <= horizon // 2
+    assert early.mean() > 0.9
+    assert np.all(after[early] >= 0)
+    assert np.all(after[early] <= horizon - t_k[early])
+    # marks keep coming after T_k, so the state keeps swapping
+    mixed = (after[early] > 0) & (after[early] < horizon - t_k[early])
+    assert mixed.mean() > 0.9
+
+
+class Opaque(Strategy):
+    """Hides the concrete strategy class, forcing the cursor path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+
+    def start(self, first_signal):
+        return self.inner.start(first_signal)
+
+
+def cursor_sources(model):
+    hist1 = History(0)
+    table = TableStrategy(2, 2, {hist1: [0.9, 0.1], hist1.child(0, 0): [0.2, 0.8],
+                                 hist1.child(1, 1): [0.6, 0.4]},
+                          default=[0.3, 0.7])
+    return {"table": table, "opaque": Opaque(mixing_controller(model))}
+
+
+# values of the per-trajectory cursor simulator before batched simulation
+# existed; tables and opaque strategies must keep its random stream
+CURSOR_VALUES = {
+    "table": (0.6462827639463863, 0.011195666360470832, 0.6646424371311567,
+              0.02171027256350313, (0.24489795918367346, 0.7551020408163265), 49),
+    "opaque": (0.5380175620374515, 0.011782727474745262, 0.6018871057383659,
+               0.02550112197070369, (0.5094339622641509, 0.49056603773584906), 53),
+}
+
+
+@pytest.mark.parametrize("name", ["table", "opaque"])
+def test_cursor_path_stream_unchanged(name):
+    m = random_pomdp_model()
+    strategy = cursor_sources(m)[name]
+    assert strategy.memory_form(m.n_signals) is None
+    longrun = longrun_average_mc(m, strategy, 0.5, horizon=60, n_traj=12,
+                                 seed_or_rng=worker_rng(31, 0))
+    disc = discounted_payoff(m, strategy, 0.4, 0.5, method="mc", tol=1e-6,
+                             n_traj=10, seed=32)
+    est = mimic_action_mc(m, strategy, 0.5, History(0).child(0, 0), 200,
+                          worker_rng(33, 0))
+    got = (longrun.value, longrun.std_error, disc.value, disc.std_error,
+           tuple(est.weights.tolist()), est.n_accepted)
+    assert got == CURSOR_VALUES[name]
+
+
+def test_table_source_mimic_takes_cursor_path():
+    m = random_pomdp_model()
+    table_mimic = build_mimic_strategy(m, cursor_sources(m)["table"], 0.5)
+    assert table_mimic.memory_form(m.n_signals) is None
+    ctrl_mimic = build_mimic_strategy(m, mixing_controller(m), 0.5)
+    assert ctrl_mimic.memory_form(m.n_signals) is not None
+
+
+def test_batched_rejects_empty_horizon():
+    m = figure1_model()
+    with pytest.raises(ValueError):
+        simulate_batch(m, SequenceStrategy.pure([0, 1], 2), 0.5, 10, 0)
 
 
 # --- epoch operator -----------------------------------------------------------

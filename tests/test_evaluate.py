@@ -1,9 +1,13 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from stagepomdp.epochs import worker_rng
-from stagepomdp.errors import ImpossibleObservation, NotConverged
+from stagepomdp.errors import BudgetExceeded, ImpossibleObservation, NotConverged
 from stagepomdp.evaluate import (
+    MC_HORIZON_CAP,
     asymptotic_value_estimate,
     belief_update,
     cesaro_average,
@@ -111,6 +115,18 @@ def test_discounted_validates_lambda():
         discounted_payoff(m, seq, 0.0, 0.5)
     with pytest.raises(ValueError):
         discounted_payoff(m, seq, 1.2, 0.5)
+
+
+def test_discounted_mc_reports_horizon_cap():
+    m = two_stage_chain()
+    seq = SequenceStrategy.pure([0], 1)
+    capped = discounted_payoff(m, seq, 1e-5, 1.0, method="mc", n_traj=2, seed=0)
+    assert capped.metadata["horizon"] == MC_HORIZON_CAP
+    assert capped.bound == pytest.approx(math.exp(-2.0) * m.max_abs_payoff, rel=1e-4)
+    assert capped.slack == capped.bound
+    full = discounted_payoff(m, seq, 0.5, 1.0, method="mc", n_traj=2, seed=0)
+    assert full.bound <= 1e-12
+    assert full.value == pytest.approx(0.5, abs=1e-15)
 
 
 # --- long-run averages ----------------------------------------------------------------
@@ -238,6 +254,21 @@ def test_figure1_value_approaches_one_at_h1():
     values = est.metadata["values"]
     assert values[-1] >= 0.999
     assert est.value >= 0.999
+
+
+def test_belief_lattice_size_checked_before_build():
+    rng = np.random.default_rng(3)
+    n_w = 10
+    raw = rng.uniform(0.1, 1.0, size=(n_w, 2, n_w))
+    model = make_model(
+        [f"w{i}" for i in range(n_w)], ["a", "b"], ["s1", "s2"],
+        [i % 2 for i in range(n_w)], rng.uniform(0.0, 1.0, size=(n_w, 2)),
+        raw / raw.sum(axis=2, keepdims=True), np.full(n_w, 1.0 / n_w),
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        discounted_value_estimate(model, 0.1, 0.5)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_belief_grid_not_converged_guard():

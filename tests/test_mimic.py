@@ -228,6 +228,16 @@ def test_mc_matches_exact_at_k2():
         assert abs(est.weights[a] - exact.weights[a]) <= 3.5 * se
 
 
+@pytest.mark.parametrize("eta", [History(0, ((0, 1),)), History(1, ((1, 0),))])
+def test_mc_acceptance_filter_on_controller(eta):
+    m = random_pomdp_model()
+    ctrl = mixing_controller(m)
+    exact = mimic_action_exact(m, ctrl, 0.5, eta)
+    est = mimic_action_mc(m, ctrl, 0.5, eta, 40_000, worker_rng(6, 0))
+    se = np.sqrt(exact.weights * (1.0 - exact.weights) / est.n_accepted)
+    assert np.all(np.abs(est.weights - exact.weights) <= 4.0 * se)
+
+
 def test_mc_no_accepted_samples():
     # a first signal that never occurs
     m = make_model(
