@@ -47,6 +47,7 @@ from .strategies import (
     Strategy,
     StrategyCursor,
     TableStrategy,
+    as_controller,
     exact_history_distribution,
     sequence_as_controller,
     uniform_action,

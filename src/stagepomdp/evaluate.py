@@ -33,9 +33,8 @@ from .model import (
 from .strategies import (
     DEFAULT_ENUMERATION_BUDGET,
     FiniteStateController,
-    SequenceStrategy,
     Strategy,
-    sequence_as_controller,
+    as_controller,
 )
 
 DEFAULT_LAMBDA_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
@@ -189,39 +188,14 @@ def controller_product_chain(model: PomdpModel, controller: FiniteStateControlle
 
 def machine_product_chain(model: PomdpModel, machine: FilterMachine):
     """Markov chain on (state, filter node) for a mimic automaton in the base model."""
-    n_w, n_nodes = model.n_states, machine.n_nodes
-    n = n_w * n_nodes
-    chain = np.zeros((n, n))
-    payoffs = np.zeros(n)
-    for node in range(n_nodes):
-        alpha = machine.action_dists[node]
-        for w in range(n_w):
-            row = w * n_nodes + node
-            payoffs[row] = float(alpha @ model.payoff[w])
-            for a in range(model.n_actions):
-                if alpha[a] <= 0.0:
-                    continue
-                for w2 in range(n_w):
-                    p = model.transition[w, a, w2]
-                    if p <= 0.0:
-                        continue
-                    nxt = machine.edges[node, a, model.signal_of(w2)]
-                    if nxt < 0:
-                        raise SingularSystem("machine edge missing on a live action")
-                    chain[row, w2 * n_nodes + nxt] += alpha[a] * p
-    init = np.zeros(n)
-    for w in range(n_w):
-        if model.init[w] > 0.0:
-            init[w * n_nodes + machine.init_nodes[model.signal_of(w)]] = model.init[w]
-    return chain, init, payoffs
+    return controller_product_chain(model, machine.controller)
 
 
 def longrun_average_exact_fsc(model: PomdpModel, controller, h) -> PayoffEstimate:
     """Exact long-run average payoff of a finite-state controller at duration h."""
     h = validate_stage_duration(h)
-    if isinstance(controller, SequenceStrategy):
-        controller = sequence_as_controller(controller, model.n_signals)
-    if not isinstance(controller, FiniteStateController):
+    controller = as_controller(controller, model.n_signals)
+    if controller is None:
         raise TypeError(
             "exact long-run evaluation needs a finite-state controller or an "
             "action sequence; use longrun_average_mc for general strategies"
@@ -352,10 +326,8 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
     eff = lam * h
     meta = {"h": h, "lam": lam}
     if method == "exact":
-        controller = strategy
-        if isinstance(strategy, SequenceStrategy):
-            controller = sequence_as_controller(strategy, model.n_signals)
-        if isinstance(controller, FiniteStateController):
+        controller = as_controller(strategy, model.n_signals)
+        if controller is not None:
             value = _discounted_exact_controller(model, controller, lam, h)
             return PayoffEstimate(value, "exact", metadata=meta)
         value, bound, horizon = _discounted_truncated(

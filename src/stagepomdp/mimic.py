@@ -41,10 +41,9 @@ from .strategies import (
     FiniteStateController,
     HiddenMemoryForm,
     History,
-    SequenceStrategy,
     Strategy,
     StrategyCursor,
-    sequence_as_controller,
+    as_controller,
     uniform_action,
 )
 
@@ -211,14 +210,6 @@ class EpochOperatorEngine:
         return posterior @ self.controller.update[:, action, next_signal, :]
 
 
-def _as_controller(strategy: Strategy, n_signals):
-    if isinstance(strategy, FiniteStateController):
-        return strategy
-    if isinstance(strategy, SequenceStrategy):
-        return sequence_as_controller(strategy, n_signals)
-    return None
-
-
 def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
     """Truncated-exact joint over (boundary state, boundary action).
 
@@ -304,16 +295,17 @@ def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistor
     closed-form route (bound 0); everything else is enumerated with each
     epoch truncated at ``n_max`` stages.
     """
-    h = validate_stage_duration(h)
-    controller = _as_controller(strategy, model.n_signals)
-    if controller is not None:
-        engine = EpochOperatorEngine(model, controller, h)
-        filt, signal = engine.filtered_forward(fil)
-        return engine.boundary_joint(filt, signal), 0.0
-    if n_max is None:
-        n_max = default_truncation(h)
-    joint = _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget)
-    return joint, truncation_bound(h, fil.length, n_max)
+    return MimicStrategy(model, strategy, h, n_max, budget).filtered_joint(fil)
+
+
+def _conditional(joint, bound) -> MimicAction:
+    """Boundary-action law conditioned on a joint's mass; uniform when null."""
+    mass = float(joint.sum())
+    if mass == 0.0:
+        return MimicAction(uniform_action(joint.shape[1]), bound, 0.0)
+    if mass < 10.0 * bound:
+        raise TruncationDominates(mass, bound)
+    return MimicAction(joint.sum(axis=0) / mass, bound, mass)
 
 
 def mimic_action_exact(model: PomdpModel, strategy: Strategy, h,
@@ -325,13 +317,7 @@ def mimic_action_exact(model: PomdpModel, strategy: Strategy, h,
     is positive but below 10x the truncation bound the conditional is
     dominated by truncation error and :class:`TruncationDominates` is raised.
     """
-    joint, bound = filtered_joint(model, strategy, h, fil, n_max, budget)
-    mass = float(joint.sum())
-    if mass == 0.0:
-        return MimicAction(uniform_action(model.n_actions), bound, 0.0)
-    if mass < 10.0 * bound:
-        raise TruncationDominates(mass, bound)
-    return MimicAction(joint.sum(axis=0) / mass, bound, mass)
+    return _conditional(*filtered_joint(model, strategy, h, fil, n_max, budget))
 
 
 def mimic_action_mc(model: PomdpModel, strategy: Strategy, h,
@@ -409,8 +395,8 @@ class MimicStrategy(Strategy):
 
     ``act`` is the conditional boundary-action law of the source strategy
     given the filtered history (uniform fallback on null histories); results
-    are cached by the canonical history key.  ``mimic_action`` exposes the
-    certification data alongside the weights.
+    are cached by history.  ``mimic_action`` exposes the certification data
+    alongside the weights.
     """
 
     def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None,
@@ -419,7 +405,7 @@ class MimicStrategy(Strategy):
         self.source = source
         self.h = validate_stage_duration(h)
         self.n_actions = model.n_actions
-        controller = _as_controller(source, model.n_signals)
+        controller = as_controller(source, model.n_signals)
         self.engine = (EpochOperatorEngine(model, controller, self.h)
                        if controller is not None else None)
         if n_max is None and self.engine is None:
@@ -428,10 +414,6 @@ class MimicStrategy(Strategy):
         self.budget = budget
         self._memo = {}
         self._memo_lock = threading.Lock()
-
-    @property
-    def truncation_free(self):
-        return self.engine is not None
 
     def memory_form(self, n_signals):
         """Hidden-memory form of a controller-source mimic; None otherwise.
@@ -451,27 +433,28 @@ class MimicStrategy(Strategy):
         update = np.einsum("qsar,rabz->qsabz", posterior, ctrl.update)
         return HiddenMemoryForm(ctrl.init_memory, action, update)
 
-    def mimic_action(self, history: History) -> MimicAction:
+    def filtered_joint(self, fil: FilteredHistory):
+        """``(joint, bound)`` of the source at ``fil``: the closed-form route
+        when the source is a controller, otherwise truncated enumeration."""
         if self.engine is not None:
-            filt, signal = self.engine.filtered_forward(history)
-            joint = self.engine.boundary_joint(filt, signal)
-            mass = float(joint.sum())
-            if mass == 0.0:
-                return MimicAction(uniform_action(self.n_actions), 0.0, 0.0)
-            return MimicAction(joint.sum(axis=0) / mass, 0.0, mass)
-        return mimic_action_exact(self.model, self.source, self.h, history,
-                                  self.n_max, self.budget)
+            filt, signal = self.engine.filtered_forward(fil)
+            return self.engine.boundary_joint(filt, signal), 0.0
+        joint = _filtered_joint_enumerated(self.model, self.source, self.h, fil,
+                                           self.n_max, self.budget)
+        return joint, truncation_bound(self.h, fil.length, self.n_max)
+
+    def mimic_action(self, history: History) -> MimicAction:
+        return _conditional(*self.filtered_joint(history))
 
     def act(self, history: History) -> np.ndarray:
-        key = history.encode(self.model.n_actions, self.model.n_signals)
         with self._memo_lock:
-            cached = self._memo.get(key)
+            cached = self._memo.get(history)
         if cached is not None:
             return cached
         weights = self.mimic_action(history).weights
         with self._memo_lock:
             if len(self._memo) < self.budget:
-                self._memo[key] = weights
+                self._memo[history] = weights
         return weights
 
     def start(self, first_signal):
@@ -496,19 +479,20 @@ class FilterMachine:
 
     Exists only when the reachable set of (epoch signal, memory filter)
     pairs closes finitely (always for single-memory or pure-rule sources).
-    ``merge_defect`` is the largest filter distance collapsed by the
-    rounding dedup plus any action mass dropped below the edge tolerance;
-    zero means the automaton is exact.
+    The automaton is a controller of the base model: its memories are the
+    nodes, ``rule`` their action laws, ``init_memory`` the start nodes and
+    ``update`` the one-hot edges (edges on zero-probability actions point
+    at node 0).  ``merge_defect`` is the largest filter distance collapsed
+    by the rounding dedup plus any action mass dropped below the edge
+    tolerance; zero means the automaton is exact.
     """
 
-    action_dists: np.ndarray   # (nodes, actions)
-    edges: np.ndarray          # (nodes, actions, signals), -1 on zero-prob actions
-    init_nodes: np.ndarray     # (signals,)
+    controller: FiniteStateController
     merge_defect: float
 
     @property
     def n_nodes(self):
-        return self.action_dists.shape[0]
+        return self.controller.n_memory
 
 
 def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
@@ -518,7 +502,7 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
     Returns None when the source is not controller-representable or the
     reachable filter set does not close within ``max_nodes``.
     """
-    controller = _as_controller(source, model.n_signals)
+    controller = as_controller(source, model.n_signals)
     if controller is None:
         return None
     engine = EpochOperatorEngine(model, controller, validate_stage_duration(h))
@@ -556,23 +540,17 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
         if dropped > 0.0:
             defect = max(defect, float(dropped))
             alpha = alpha / alpha.sum()
-        edges = np.full((n_a, n_s), -1, dtype=np.int64)
-        for a in range(n_a):
-            if alpha[a] <= 0.0:
-                continue
+        edges = np.zeros((n_a, n_s), dtype=np.int64)
+        for a in np.nonzero(alpha)[0]:
             for s2 in range(n_s):
                 nxt = engine.advance_qdist(qdist, signal, a, s2)
-                if nxt is None:
-                    continue
                 edges[a, s2] = register(s2, nxt)
         action_rows.append(alpha)
         edge_rows.append(edges)
         cursor += 1
     if len(nodes) > max_nodes:
         return None
+    update = np.eye(len(nodes))[np.stack(edge_rows)]  # one-hot edges
     return FilterMachine(
-        action_dists=np.stack(action_rows),
-        edges=np.stack(edge_rows),
-        init_nodes=init_nodes,
-        merge_defect=defect,
+        FiniteStateController(init_nodes, np.stack(action_rows), update), defect
     )

@@ -25,9 +25,6 @@ from .model import PomdpModel, validate_mixed_action
 #: default cap on joint (history, state) enumeration entries
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
-#: total-mass tolerance for exact history distributions
-DIST_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class History:
@@ -49,14 +46,6 @@ class History:
 
     def child(self, action, signal):
         return History(self.first_signal, self.steps + ((action, signal),))
-
-    def encode(self, n_actions, n_signals):
-        """Canonical integer key: base-(|A||S|+1) digits, all nonzero."""
-        base = n_actions * n_signals + 1
-        key = self.first_signal + 1
-        for action, signal in self.steps:
-            key = key * base + (action * n_signals + signal + 1)
-        return key
 
 
 def uniform_action(n_actions):
@@ -310,6 +299,17 @@ def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateContr
         update[q, :, :, (q + 1) % period] = 1.0
     init_memory = np.zeros(n_signals, dtype=np.int64)
     return FiniteStateController(init_memory, rule, update)
+
+
+def as_controller(strategy: Strategy, n_signals) -> FiniteStateController | None:
+    """The strategy as a controller over ``n_signals`` signals: controllers as
+    they are, sequences through :func:`sequence_as_controller`, None for any
+    other strategy."""
+    if isinstance(strategy, FiniteStateController):
+        return strategy
+    if isinstance(strategy, SequenceStrategy):
+        return sequence_as_controller(strategy, n_signals)
+    return None
 
 
 def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,

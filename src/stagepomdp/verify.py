@@ -19,17 +19,11 @@ from .errors import GapBoundViolated, NotFullyObserved
 from .evaluate import (
     TRAILING_WINDOW,
     asymptotic_value_estimate,
-    cesaro_average,
     discounted_value_estimate,
     longrun_average_exact_fsc,
     longrun_average_mc,
-    machine_product_chain,
 )
-from .mimic import (
-    build_filter_machine,
-    build_mimic_strategy,
-    filtered_joint,
-)
+from .mimic import build_filter_machine, build_mimic_strategy
 from .model import (
     PomdpModel,
     is_fully_observed,
@@ -241,7 +235,7 @@ def check_marginal_lemma(model: PomdpModel, strategy: Strategy, h, k,
     lhs_payoff = sum(float(np.sum(m * model.payoff)) for m in lhs.values())
     rhs_payoff = 0.0
     for eta in _all_histories(model, k):
-        joint, eta_bound = filtered_joint(model, strategy, h, eta, n_max)
+        joint, eta_bound = mimic.filtered_joint(eta)
         bound = max(bound, eta_bound)
         rhs_mass += float(joint.sum())
         rhs_payoff += float(np.sum(joint * model.payoff))
@@ -352,17 +346,14 @@ def check_theorem_main(model: PomdpModel, controller, h, *, rng_seed=0,
 
     The left side is the exact product-chain average.  The right side
     evaluates the mimic strategy in the base model: exactly, whenever the
-    mimic's memory-filter dynamics close into a finite automaton, otherwise
-    by simulation (tolerance 3 standard errors).
+    mimic's memory-filter dynamics close into a finite automaton with zero
+    merge defect, otherwise by simulation (tolerance 3 standard errors).
     """
     h = validate_stage_duration(h)
-    if isinstance(controller, SequenceStrategy):
-        controller = sequence_as_controller(controller, model.n_signals)
     lhs = longrun_average_exact_fsc(model, controller, h).value
     machine = build_filter_machine(model, controller, h, max_nodes=machine_nodes)
-    if machine is not None:
-        chain, init, payoffs = machine_product_chain(model, machine)
-        rhs = cesaro_average(chain, init, payoffs)
+    if machine is not None and machine.merge_defect == 0.0:
+        rhs = longrun_average_exact_fsc(model, machine.controller, 1.0).value
         tolerance = 1e-6
         metadata = {"path": "exact", "machine_nodes": machine.n_nodes,
                     "machine_defect": machine.merge_defect, "h": h}

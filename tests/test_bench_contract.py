@@ -1,0 +1,19 @@
+"""The benchmark under perfbench/ wraps the program's public functions by
+name; every name it wraps must exist, or traced runs fail when they start."""
+
+import os
+import sys
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def test_traced_functions_exist():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import tracing
+    finally:
+        sys.path.remove(PERFBENCH)
+    missing = [f"{module.__name__}.{name}" for module, name, _ in tracing.TRACED
+               if not callable(getattr(module, name, None))]
+    assert not missing

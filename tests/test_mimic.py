@@ -7,6 +7,7 @@ from stagepomdp.errors import (
     NoAcceptedSamples,
     TruncationDominates,
 )
+from stagepomdp.evaluate import longrun_average_exact_fsc
 from stagepomdp.mimic import (
     build_filter_machine,
     build_mimic_strategy,
@@ -345,8 +346,24 @@ def test_machine_closes_for_alternating():
     assert machine.merge_defect == 0.0
     # node action laws reproduce the closed-form parities
     mimic = build_mimic_strategy(m, alternating_controller(m), 0.5)
-    start = machine.init_nodes[0]
-    assert machine.action_dists[start] == pytest.approx(mimic.act(History(0)))
+    ctrl = machine.controller
+    start = ctrl.init_memory[0]
+    assert ctrl.rule[start] == pytest.approx(mimic.act(History(0)))
+
+
+@pytest.mark.parametrize("model_fn", [figure1_model, random_pomdp_model])
+@pytest.mark.parametrize("ctrl_fn", [alternating_controller, uniform_controller])
+@pytest.mark.parametrize("h", [0.25, 0.5])
+def test_machine_controller_keeps_source_average(model_fn, ctrl_fn, h):
+    # the paper's identity by route: the filter machine, played as a
+    # controller of the base model, earns the source's duration-h average
+    m = model_fn()
+    source = ctrl_fn(m)
+    machine = build_filter_machine(m, source, h)
+    assert machine is not None and machine.merge_defect == 0.0
+    mimic_avg = longrun_average_exact_fsc(m, machine.controller, 1.0).value
+    source_avg = longrun_average_exact_fsc(m, source, h).value
+    assert mimic_avg == pytest.approx(source_avg, abs=1e-9)
 
 
 def test_machine_closes_for_uniform_controller():

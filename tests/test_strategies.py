@@ -5,17 +5,20 @@ import pytest
 
 from stagepomdp.epochs import simulate_gh, worker_rng
 from stagepomdp.errors import BudgetExceeded
+from stagepomdp.mimic import build_mimic_strategy
 from stagepomdp.model import stage_duration_transform
 from stagepomdp.strategies import (
     FiniteStateController,
     History,
     SequenceStrategy,
+    Strategy,
     TableStrategy,
+    as_controller,
     exact_history_distribution,
     sequence_as_controller,
     uniform_action,
 )
-from stagepomdp.verify import figure1_model, random_pomdp_model
+from stagepomdp.verify import alternating_controller, figure1_model, random_pomdp_model
 
 
 def all_histories(model, depth):
@@ -34,8 +37,9 @@ def test_history_length_and_child():
     assert h2.length == 2 and h2.steps == ((1, 0),) and h2.last_signal == 0
 
 
-def test_history_encoding_injective():
-    keys = set()
+def test_history_hash_keys():
+    # histories are dict keys: distinct histories never collide, equal ones do
+    keys = {}
     count = 0
     for depth in (1, 2, 3):
         for s1 in range(2):
@@ -43,11 +47,18 @@ def test_history_encoding_injective():
             prefixes = [base]
             for _ in range(depth - 1):
                 prefixes = [p.child(a, s) for p in prefixes
-                            for a in range(1) for s in range(2)]
+                            for a in range(2) for s in range(2)]
             for hist in prefixes:
-                keys.add(hist.encode(1, 2))
+                keys[hist] = count
                 count += 1
     assert len(keys) == count
+    for hist, value in list(keys.items()):
+        rebuilt = History(hist.first_signal)
+        for action, signal in hist.steps:
+            rebuilt = rebuilt.child(action, signal)
+        assert rebuilt == hist and rebuilt is not hist
+        assert keys[rebuilt] == value
+    assert History(0, ((1, 0),)) != History(0, ((0, 1),))
 
 
 def test_sequence_strategy_cycles():
@@ -105,6 +116,40 @@ def test_controller_posterior_conditions_on_actions():
     assert np.allclose(cursor.belief, [0.5, 0.5])
     degenerate = ctrl.start(0).step(1, 0)   # q0 never plays action 1
     assert np.array_equal(degenerate.action_distribution(), uniform_action(2))
+
+
+class _Opaque(Strategy):
+    """Hides a strategy's class behind its cursor."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+
+    def start(self, first_signal):
+        return self.inner.start(first_signal)
+
+
+def test_as_controller_returns_controller_itself():
+    ctrl = FiniteStateController([0], [[0.5, 0.5]], np.ones((1, 2, 1, 1)))
+    assert as_controller(ctrl, 1) is ctrl
+
+
+def test_as_controller_converts_sequence():
+    model = random_pomdp_model()
+    seq = SequenceStrategy([np.array([0.3, 0.7]), np.array([0.6, 0.4])])
+    ctrl = as_controller(seq, model.n_signals)
+    assert isinstance(ctrl, FiniteStateController)
+    for hist in all_histories(model, 3):
+        assert np.allclose(ctrl.act(hist), seq.act(hist), atol=1e-14)
+
+
+def test_as_controller_none_for_other_strategies():
+    model = figure1_model()
+    table = TableStrategy(2, 2, {History(0): [1.0, 0.0]})
+    opaque = _Opaque(SequenceStrategy.pure([0, 1], 2))
+    mimic = build_mimic_strategy(model, alternating_controller(model), 0.5)
+    for strategy in (table, opaque, mimic):
+        assert as_controller(strategy, model.n_signals) is None
 
 
 def test_sequence_as_controller_equivalent_mixed():

@@ -1,9 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stagepomdp.errors import GapBoundViolated, NotFullyObserved
+from stagepomdp import verify
 from stagepomdp.evaluate import longrun_average_exact_fsc
+from stagepomdp.mimic import build_filter_machine
 from stagepomdp.model import is_fully_observed, make_model, validate_model
 from stagepomdp.strategies import SequenceStrategy
 from stagepomdp.verify import (
@@ -19,6 +23,7 @@ from stagepomdp.verify import (
     figure1_model,
     fully_observed_model,
     liminf_trailing,
+    mixing_controller,
     random_pomdp_model,
     render_report,
     run_suite,
@@ -221,6 +226,18 @@ def test_theorem_figure1_both_zero():
     assert report.metadata["path"] == "exact"
     assert report.quantities["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert report.quantities["rhs"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_theorem_merged_machine_takes_monte_carlo(monkeypatch):
+    # a machine that merged filters by rounding is not exact, so the check
+    # must not judge it at the exact route's fixed tolerance
+    m = random_pomdp_model()
+    coarse = partial(build_filter_machine, round_digits=3)
+    machine = coarse(m, mixing_controller(m), 0.25)
+    assert machine is not None and machine.merge_defect > 0.0
+    monkeypatch.setattr(verify, "build_filter_machine", coarse)
+    report = check_theorem_main(m, mixing_controller(m), 0.25)
+    assert report.metadata["path"] == "monte_carlo"
 
 
 def test_rescale_reduces_to_main_check():
