@@ -61,11 +61,12 @@ class SingularSystem(StagePomdpError):
 
 
 class NotConverged(StagePomdpError):
-    def __init__(self, sweeps, residual):
-        self.sweeps = sweeps
+    def __init__(self, steps, residual):
+        self.steps = steps
         self.residual = residual
         super().__init__(
-            f"value iteration residual {residual:.3e} after {sweeps} sweeps"
+            f"policy iteration not stable after {steps} steps "
+            f"(Bellman residual {residual:.3e})"
         )
 
 

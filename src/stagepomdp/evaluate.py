@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 
 from .epochs import simulate_batch
 from .errors import (
@@ -41,6 +42,13 @@ DEFAULT_LAMBDA_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
 
 #: sup-norm residual at which value iteration stops
 VI_RESIDUAL_TOL = 1e-9
+
+#: most policy evaluations a policy iteration may take before NotConverged
+MAX_POLICY_STEPS = 100
+
+#: margin by which another action must beat a belief point's current one
+#: for policy iteration to switch to it
+POLICY_TIE_TOL = 1e-14
 
 #: fraction of trailing checkpoints used by the liminf proxy
 TRAILING_WINDOW = 0.2
@@ -355,7 +363,7 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
 
 # --- discounted value (sup over strategies) ----------------------------------
 
-def _tabular_discounted_value(mh: PomdpModel, eff, sweeps):
+def _tabular_discounted_value(mh: PomdpModel, eff):
     """Optimal discounted value per state of a fully observed model.
 
     A short value-iteration seed, then exact linear solves of the greedy
@@ -364,7 +372,7 @@ def _tabular_discounted_value(mh: PomdpModel, eff, sweeps):
     """
     n_w = mh.n_states
     values = np.zeros(n_w)
-    for _ in range(min(sweeps, 200)):
+    for _ in range(200):
         q = eff * mh.payoff + (1.0 - eff) * np.einsum(
             "waz,z->wa", mh.transition, values
         )
@@ -374,12 +382,14 @@ def _tabular_discounted_value(mh: PomdpModel, eff, sweeps):
         if residual <= VI_RESIDUAL_TOL:
             break
     policy = None
-    for _ in range(100):
+    stable = False
+    for _ in range(MAX_POLICY_STEPS):
         q = eff * mh.payoff + (1.0 - eff) * np.einsum(
             "waz,z->wa", mh.transition, values
         )
         new_policy = q.argmax(axis=1)
-        if policy is not None and np.array_equal(new_policy, policy):
+        stable = policy is not None and np.array_equal(new_policy, policy)
+        if stable:
             break
         policy = new_policy
         p_pi = mh.transition[np.arange(n_w), policy, :]
@@ -387,10 +397,14 @@ def _tabular_discounted_value(mh: PomdpModel, eff, sweeps):
         values = np.linalg.solve(np.eye(n_w) - (1.0 - eff) * p_pi, eff * g_pi)
     q = eff * mh.payoff + (1.0 - eff) * np.einsum("waz,z->wa", mh.transition, values)
     bellman_residual = float(np.max(np.abs(q.max(axis=1) - values)))
+    if not stable:
+        raise NotConverged(MAX_POLICY_STEPS, bellman_residual)
     return values, bellman_residual
 
 
 def _belief_lattice(n_states, resolution):
+    """Lattice beliefs with denominator ``resolution``, one row per point in
+    lexicographic order of the integer compositions."""
     n_points = math.comb(resolution + n_states - 1, n_states - 1)
     if n_points > MAX_LATTICE_POINTS:
         raise BudgetExceeded(
@@ -407,54 +421,98 @@ def _belief_lattice(n_states, resolution):
             fill(prefix + [c], remaining - c, slots - 1)
 
     fill([], resolution, n_states)
-    grid = np.asarray(points, dtype=np.float64) / resolution
-    index = {tuple(row): i for i, row in enumerate(points)}
-    return grid, index
+    return np.asarray(points, dtype=np.float64) / resolution
 
 
-def _project_to_lattice(belief, resolution, index):
-    scaled = belief * resolution
-    base = np.floor(scaled).astype(np.int64)
-    short = resolution - int(base.sum())
-    if short > 0:
-        fractional = scaled - base
-        for slot in np.argsort(-fractional)[:short]:
-            base[slot] += 1
-    return index[tuple(base.tolist())]
+def _project_rows(beliefs, resolution):
+    """Nearest lattice composition of each belief row: floor, then one more
+    unit to each of the ``short`` slots with the largest fractional parts."""
+    scaled = beliefs * resolution
+    counts = np.floor(scaled).astype(np.int64)
+    short = resolution - counts.sum(axis=1)
+    order = np.argsort(-(scaled - counts), axis=1)
+    place = np.argsort(order, axis=1)  # each slot's position in that order
+    return counts + (place < short[:, None])
 
 
-def _belief_grid_value(mh: PomdpModel, eff, resolution, sweeps):
-    grid, index = _belief_lattice(mh.n_states, resolution)
+def _lattice_rank(counts, resolution):
+    """Row of each composition in ``_belief_lattice``'s order.
+
+    With k_i = W-1-i slots after slot i and r_i units left before it, the
+    compositions ranked earlier at slot i number C(r_i+k_i, k_i) -
+    C(r_i-c_i+k_i, k_i) (a hockey-stick sum).
+    """
+    n_w = counts.shape[1]
+    binom = np.array([[math.comb(n, k) for k in range(n_w)]
+                      for n in range(resolution + n_w)], dtype=np.int64)
+    left = resolution - np.cumsum(counts, axis=1) + counts
+    k = np.arange(n_w - 1, -1, -1)
+    return (binom[left + k, k] - binom[left - counts + k, k]).sum(axis=1)
+
+
+def _lattice_successors(mh: PomdpModel, grid, resolution):
+    """Mass and projected lattice row of every (point, action, signal) successor."""
     n_pts = grid.shape[0]
-    n_a, n_s = mh.n_actions, mh.n_signals
-    rewards = grid @ mh.payoff  # (N, A)
-    succ_mass = np.zeros((n_pts, n_a, n_s))
-    succ_idx = np.zeros((n_pts, n_a, n_s), dtype=np.int64)
-    for i in range(n_pts):
-        for a in range(n_a):
-            pushed = grid[i] @ mh.transition[:, a, :]
-            for s in range(n_s):
-                part = np.where(mh.signal_map == s, pushed, 0.0)
-                mass = part.sum()
-                if mass <= 0.0:
-                    continue
-                succ_mass[i, a, s] = mass
-                succ_idx[i, a, s] = _project_to_lattice(part / mass, resolution,
-                                                        index)
+    succ_mass = np.zeros((n_pts, mh.n_actions, mh.n_signals))
+    succ_idx = np.zeros((n_pts, mh.n_actions, mh.n_signals), dtype=np.int64)
+    for a in range(mh.n_actions):
+        pushed = grid @ mh.transition[:, a, :]
+        for s in range(mh.n_signals):
+            part = np.where(mh.signal_map == s, pushed, 0.0)
+            mass = part.sum(axis=1)
+            live = mass > 0.0
+            succ_mass[live, a, s] = mass[live]
+            succ_idx[live, a, s] = _lattice_rank(
+                _project_rows(part[live] / mass[live, None], resolution), resolution)
+    return succ_mass, succ_idx
+
+
+def _belief_grid_value(mh: PomdpModel, eff, resolution):
+    """Optimal values of the projected lattice MDP by policy iteration.
+
+    Each policy is evaluated by one sparse solve of
+    (I - (1-eff) P_pi) v = eff r_pi; a point keeps its action unless another
+    beats it by more than ``POLICY_TIE_TOL``, so ties cannot cycle.  Returns
+    the value lookup and the Bellman residual of the returned values.
+    """
+    grid = _belief_lattice(mh.n_states, resolution)
+    n_pts = grid.shape[0]
+    rewards = eff * (grid @ mh.payoff)  # (N, A)
+    succ_mass, succ_idx = _lattice_successors(mh, grid, resolution)
+    rows = np.arange(n_pts)
+    width = mh.n_signals + 1  # a row's diagonal and its successors
+    indptr = np.arange(0, width * n_pts + 1, width)
+
+    def q_values(values):
+        return rewards + (1.0 - eff) * np.einsum("nas,nas->na", succ_mass,
+                                                 values[succ_idx])
+
     values = np.zeros(n_pts)
-    residual = math.inf
-    for sweep in range(sweeps):
-        cont = np.einsum("nas,nas->na", succ_mass, values[succ_idx])
-        new_values = (eff * rewards + (1.0 - eff) * cont).max(axis=1)
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if residual <= VI_RESIDUAL_TOL:
+    q = q_values(values)
+    policy = q.argmax(axis=1)
+    stable = False
+    for _ in range(MAX_POLICY_STEPS):
+        data = np.column_stack([np.ones(n_pts),
+                                -(1.0 - eff) * succ_mass[rows, policy]])
+        cols = np.column_stack([rows, succ_idx[rows, policy]])
+        system = csr_matrix((data.ravel(), cols.ravel(), indptr),
+                            shape=(n_pts, n_pts))
+        values = spsolve(system, rewards[rows, policy])
+        q = q_values(values)
+        best = q.argmax(axis=1)
+        keep = q[rows, policy] >= q[rows, best] - POLICY_TIE_TOL
+        new_policy = np.where(keep, policy, best)
+        stable = np.array_equal(new_policy, policy)
+        if stable:
             break
-    else:
-        raise NotConverged(sweeps, residual)
+        policy = new_policy
+    residual = float(np.max(np.abs(q.max(axis=1) - values)))
+    if not stable:
+        raise NotConverged(MAX_POLICY_STEPS, residual)
 
     def value_at(belief):
-        return float(values[_project_to_lattice(belief, resolution, index)])
+        row = _project_rows(belief[None, :], resolution)
+        return float(values[_lattice_rank(row, resolution)[0]])
 
     return value_at, residual
 
@@ -470,15 +528,17 @@ def _initial_belief_value(model, value_at):
     return float(total)
 
 
-def discounted_value_estimate(model: PomdpModel, lam, h, grid_resolution=60,
-                              sweeps=400_000) -> PayoffEstimate:
+def discounted_value_estimate(model: PomdpModel, lam, h,
+                              grid_resolution=60) -> PayoffEstimate:
     """Estimate the optimal discounted value at stage duration h.
 
     Fully observed models reduce to exact dynamic programming over states
     (no grid error); otherwise the value is computed on a belief simplex
-    lattice with nearest-point projection and flagged approximate.  The
-    belief-grid diagnostics report the stopping bound and a grid-refinement
-    gap (value change from half resolution to full resolution).
+    lattice with nearest-point projection, solved by policy iteration, and
+    flagged approximate.  ``stopping_bound`` is the Bellman residual of the
+    returned values times (1-lam*h)/(lam*h); the belief grid also reports a
+    grid-refinement gap (value change from half resolution to full
+    resolution).
     """
     h = validate_stage_duration(h)
     lam = float(lam)
@@ -490,16 +550,16 @@ def discounted_value_estimate(model: PomdpModel, lam, h, grid_resolution=60,
     mh = stage_duration_transform(model, h) if h != 1.0 else model
     meta = {"h": h, "lam": lam}
     if is_fully_observed(model):
-        values, bellman_residual = _tabular_discounted_value(mh, eff, sweeps)
+        values, bellman_residual = _tabular_discounted_value(mh, eff)
         stopping = bellman_residual * (1.0 - eff) / eff if eff < 1.0 else 0.0
         return PayoffEstimate(
             float(model.init @ values), "exact",
             diagnostics={"stopping_bound": stopping},
             metadata=meta,
         )
-    value_at, residual = _belief_grid_value(mh, eff, grid_resolution, sweeps)
+    value_at, residual = _belief_grid_value(mh, eff, grid_resolution)
     total = _initial_belief_value(model, value_at)
-    coarse_at, _ = _belief_grid_value(mh, eff, max(2, grid_resolution // 2), sweeps)
+    coarse_at, _ = _belief_grid_value(mh, eff, max(2, grid_resolution // 2))
     grid_gap = abs(total - _initial_belief_value(model, coarse_at))
     stopping = residual * (1.0 - eff) / eff if eff < 1.0 else 0.0
     meta["grid_resolution"] = grid_resolution
@@ -511,12 +571,14 @@ def discounted_value_estimate(model: PomdpModel, lam, h, grid_resolution=60,
 
 
 def asymptotic_value_estimate(model: PomdpModel, h, lam_grid=DEFAULT_LAMBDA_GRID,
-                              grid_resolution=60, sweeps=400_000) -> PayoffEstimate:
+                              grid_resolution=60) -> PayoffEstimate:
     """Estimate the small-discount limit of the value at stage duration h.
 
     Sweeps the discount grid (strictly decreasing) and reports the last
     value; the slope between the last two grid points and the gap between
-    them are the convergence diagnostics.  Explicitly approximate.
+    them are the convergence diagnostics, beside the summed
+    ``stopping_bound`` (from each estimate's final Bellman residual) and the
+    last estimate's ``grid_gap``.  Explicitly approximate.
     """
     lam_grid = [float(x) for x in lam_grid]
     if len(lam_grid) < 2:
@@ -524,7 +586,7 @@ def asymptotic_value_estimate(model: PomdpModel, h, lam_grid=DEFAULT_LAMBDA_GRID
     if any(b >= a for a, b in zip(lam_grid, lam_grid[1:])) or lam_grid[-1] <= 0:
         raise ValueError("lam_grid must be strictly decreasing and positive")
     estimates = [
-        discounted_value_estimate(model, lam, h, grid_resolution, sweeps)
+        discounted_value_estimate(model, lam, h, grid_resolution)
         for lam in lam_grid
     ]
     values = [e.value for e in estimates]

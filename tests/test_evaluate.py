@@ -4,9 +4,11 @@ import time
 import numpy as np
 import pytest
 
+from stagepomdp import evaluate
 from stagepomdp.epochs import worker_rng
 from stagepomdp.errors import BudgetExceeded, ImpossibleObservation, NotConverged
 from stagepomdp.evaluate import (
+    DEFAULT_LAMBDA_GRID,
     MC_HORIZON_CAP,
     asymptotic_value_estimate,
     belief_update,
@@ -271,10 +273,112 @@ def test_belief_lattice_size_checked_before_build():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_belief_grid_not_converged_guard():
+def test_belief_grid_not_converged_guard(monkeypatch):
+    # figure 1 at these settings needs three policy evaluations
+    monkeypatch.setattr(evaluate, "MAX_POLICY_STEPS", 1)
     with pytest.raises(NotConverged):
-        discounted_value_estimate(figure1_model(), 0.01, 0.5,
-                                  grid_resolution=8, sweeps=3)
+        discounted_value_estimate(figure1_model(), 0.01, 0.5, grid_resolution=8)
+
+
+def test_tabular_not_converged_guard(monkeypatch):
+    monkeypatch.setattr(evaluate, "MAX_POLICY_STEPS", 1)
+    with pytest.raises(NotConverged):
+        discounted_value_estimate(fully_observed_model(), 0.1, 0.5)
+
+
+def _reference_project(belief, resolution):
+    """Per-belief nearest lattice composition: floor, then one more unit to
+    each of the slots with the largest fractional parts."""
+    scaled = belief * resolution
+    base = np.floor(scaled).astype(np.int64)
+    short = resolution - int(base.sum())
+    for slot in np.argsort(-(scaled - base))[:max(short, 0)]:
+        base[slot] += 1
+    return base
+
+
+@pytest.mark.parametrize("n_w,resolution", [(2, 30), (3, 8), (3, 61), (4, 6), (5, 7)])
+def test_project_rows_matches_per_belief_reference(n_w, resolution):
+    uniform = np.full((1, n_w), 1.0 / n_w)
+    if resolution % n_w:
+        fractional = uniform * resolution - np.floor(uniform * resolution)
+        assert np.unique(fractional).size == 1  # every slot ties
+    beliefs = np.vstack([np.random.default_rng(11).dirichlet(np.ones(n_w), size=200),
+                         uniform])
+    got = evaluate._project_rows(beliefs, resolution)
+    want = np.array([_reference_project(b, resolution) for b in beliefs])
+    assert np.array_equal(got, want)
+    assert (got.sum(axis=1) == resolution).all()
+
+
+@pytest.mark.parametrize("n_w,resolution", [(2, 30), (3, 24), (3, 60), (4, 12), (5, 7)])
+def test_lattice_rank_follows_lattice_order(n_w, resolution):
+    grid = evaluate._belief_lattice(n_w, resolution)
+    counts = np.rint(grid * resolution).astype(np.int64)
+    assert np.array_equal(evaluate._lattice_rank(counts, resolution),
+                          np.arange(len(grid)))
+
+
+def _reference_successors(mh, grid, resolution):
+    """Per-point successor loop with a dict lookup of each projection."""
+    counts = np.rint(grid * resolution).astype(np.int64)
+    index = {tuple(row): i for i, row in enumerate(counts.tolist())}
+    shape = (len(grid), mh.n_actions, mh.n_signals)
+    succ_mass, succ_idx = np.zeros(shape), np.zeros(shape, dtype=np.int64)
+    for i, belief in enumerate(grid):
+        for a in range(mh.n_actions):
+            pushed = belief @ mh.transition[:, a, :]
+            for s in range(mh.n_signals):
+                part = np.where(mh.signal_map == s, pushed, 0.0)
+                if part.sum() > 0.0:
+                    succ_mass[i, a, s] = part.sum()
+                    succ_idx[i, a, s] = index[tuple(
+                        _reference_project(part / part.sum(), resolution).tolist())]
+    return succ_mass, succ_idx
+
+
+def test_belief_grid_matches_value_iteration():
+    lam, h, resolution = 0.05, 0.5, 12
+    eff = lam * h
+    for model in (figure1_model(), random_pomdp_model()):
+        mh = stage_duration_transform(model, h)
+        grid = evaluate._belief_lattice(model.n_states, resolution)
+        succ_mass, succ_idx = _reference_successors(mh, grid, resolution)
+        rewards = grid @ mh.payoff
+        values = np.zeros(len(grid))
+        residual = math.inf
+        while residual > 1e-13:
+            new_values = (eff * rewards + (1.0 - eff) * np.einsum(
+                "nas,nas->na", succ_mass, values[succ_idx])).max(axis=1)
+            residual = float(np.max(np.abs(new_values - values)))
+            values = new_values
+        vi_bound = residual * (1.0 - eff) / eff
+        value_at, grid_residual = evaluate._belief_grid_value(mh, eff, resolution)
+        got = np.array([value_at(b) for b in grid])
+        grid_bound = grid_residual * (1.0 - eff) / eff
+        assert np.max(np.abs(got - values)) <= vi_bound + grid_bound + 1e-14
+
+
+def test_figure1_value_is_one_at_h1_for_every_lambda():
+    for lam in DEFAULT_LAMBDA_GRID:
+        est = discounted_value_estimate(figure1_model(), lam, 1.0)
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_belief_grid_stopping_bound_covers_bellman_residual():
+    lam, h, resolution = 0.01, 0.5, 24
+    eff = lam * h
+    for model in (figure1_model(), random_pomdp_model()):
+        est = discounted_value_estimate(model, lam, h, resolution)
+        mh = stage_duration_transform(model, h)
+        grid = evaluate._belief_lattice(model.n_states, resolution)
+        value_at, _ = evaluate._belief_grid_value(mh, eff, resolution)
+        values = np.array([value_at(b) for b in grid])
+        succ_mass, succ_idx = evaluate._lattice_successors(mh, grid, resolution)
+        q = eff * (grid @ mh.payoff) + (1.0 - eff) * np.einsum(
+            "nas,nas->na", succ_mass, values[succ_idx])
+        residual = float(np.max(np.abs(q.max(axis=1) - values)))
+        assert est.diagnostics["stopping_bound"] >= residual * (1.0 - eff) / eff
 
 
 def test_asymptotic_estimate_requires_decreasing_grid():
