@@ -21,7 +21,7 @@ from .evaluate import (
 )
 from .mimic import build_mimic_strategy
 from .model import stage_duration_transform
-from .strategies import History, SequenceStrategy, as_controller
+from .strategies import History, SequenceStrategy
 from .textio import parse_controller, parse_pomdp, serialize_pomdp
 from .verify import figure1_model, render_report, run_suite, uniform_controller
 
@@ -145,10 +145,10 @@ def _cmd_evaluate(args):
         else:
             est = discounted_payoff(model, strategy, args.lam, args.h)
     else:
-        if args.mc or as_controller(strategy, model.n_signals) is None:
+        if args.mc:
             seed = _resolve_seed(args.seed)
             est = longrun_average_mc(model, strategy, args.h, args.horizon,
-                                     args.mc or 1000, seed)
+                                     args.mc, seed)
         else:
             est = longrun_average_exact_fsc(model, strategy, args.h)
     print(f"value: {est.value:.12g}")

@@ -33,6 +33,7 @@ from .model import (
 )
 from .strategies import (
     DEFAULT_ENUMERATION_BUDGET,
+    CursorEnumeration,
     FiniteStateController,
     Strategy,
     as_controller,
@@ -205,8 +206,9 @@ def longrun_average_exact_fsc(model: PomdpModel, controller, h) -> PayoffEstimat
     controller = as_controller(controller, model.n_signals)
     if controller is None:
         raise TypeError(
-            "exact long-run evaluation needs a finite-state controller or an "
-            "action sequence; use longrun_average_mc for general strategies"
+            "exact long-run evaluation needs a finite-state controller, an "
+            "action sequence or a table; use longrun_average_mc for other "
+            "strategies"
         )
     chain, init, payoffs = controller_product_chain(model, controller, h)
     value = cesaro_average(chain, init, payoffs)
@@ -266,48 +268,29 @@ def _discounted_exact_controller(model, controller, lam, h):
     return float(init @ values)
 
 
+def _tail_horizon(model, eff, tol):
+    """Fewest stages T >= 1 with M (1-eff)^T <= tol, M the largest |payoff|."""
+    if eff >= 1.0:
+        return 1
+    bound_m = max(model.max_abs_payoff, 1e-300)
+    return max(1, math.ceil(math.log(tol / bound_m) / math.log1p(-eff)))
+
+
 def _discounted_truncated(model, strategy, lam, h, tol, budget):
     eff = lam * h
     mh = stage_duration_transform(model, h) if h != 1.0 else model
-    bound_m = max(model.max_abs_payoff, 1e-300)
-    horizon = max(1, math.ceil(math.log(tol / bound_m) / math.log1p(-eff))) \
-        if eff < 1.0 else 1
-    # frontier: cursor merge key -> (cursor, mass vector over states)
-    frontier = {}
-    for w in range(model.n_states):
-        if model.init[w] <= 0.0:
-            continue
-        cursor = strategy.start(model.signal_of(w))
-        key = cursor.merge_key()
-        if key not in frontier:
-            frontier[key] = (cursor, np.zeros(model.n_states))
-        frontier[key][1][w] += model.init[w]
+    horizon = _tail_horizon(model, eff, tol)
+    enum = CursorEnumeration(model, budget, "discounted enumeration")
+    frontier = enum.open(model.init, strategy.start)
     total = 0.0
     weight = eff
-    visits = 0
     for stage in range(horizon):
-        new_frontier = {}
-        for cursor, mass in frontier.values():
-            visits += 1
-            if visits > budget:
-                raise BudgetExceeded(visits, budget, "discounted enumeration")
-            alpha = cursor.action_distribution()
+        grown = {}
+        for cursor, mass, alpha in enum.visit(frontier):
             total += weight * float(mass @ model.payoff @ alpha)
-            if stage + 1 == horizon:
-                continue
-            for a in np.nonzero(alpha > 0.0)[0]:
-                pushed = (mass * alpha[a]) @ mh.transition[:, int(a), :]
-                for s in range(model.n_signals):
-                    part = np.where(model.signal_map == s, pushed, 0.0)
-                    if part.sum() <= 0.0:
-                        continue
-                    nxt = cursor.step(int(a), s)
-                    key = nxt.merge_key()
-                    if key in new_frontier:
-                        new_frontier[key][1][:] += part
-                    else:
-                        new_frontier[key] = (nxt, part)
-        frontier = new_frontier
+            if stage + 1 < horizon:
+                enum.step(grown, cursor, mass, alpha, mh.transition)
+        frontier = grown
         weight *= 1.0 - eff
         if not frontier or weight == 0.0:
             break
@@ -344,10 +327,7 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
         meta["horizon"] = horizon
         return PayoffEstimate(value, "truncated", bound=bound, metadata=meta)
     if method == "mc":
-        bound_m = max(model.max_abs_payoff, 1e-300)
-        horizon = max(1, math.ceil(math.log(tol / bound_m) / math.log1p(-eff))) \
-            if eff < 1.0 else 1
-        horizon = min(horizon, MC_HORIZON_CAP)
+        horizon = min(_tail_horizon(model, eff, tol), MC_HORIZON_CAP)
         weights = eff * (1.0 - eff) ** np.arange(horizon)
         plays = simulate_batch(model, strategy, h, n_traj, seed,
                                sums_at=[horizon], stage_weights=weights)

@@ -12,12 +12,14 @@ events it plays the fixed uniform fallback.
 
 Two exact routes are implemented:
 
-* controller sources: the filtered forward measure over (state, memory)
-  factorizes into (state filter) x (memory filter), epoch-length mixing is
-  the closed-form geometric-series operator, and there is no truncation;
-* arbitrary sources: direct enumeration over epoch-length vectors and the
-  intermediate actions inside each epoch, truncated at ``n_max`` stages per
-  epoch, with enumeration branches merged by strategy cursor keys.
+* controller sources (controllers, sequences and tables, see
+  :func:`~stagepomdp.strategies.as_controller`): the filtered forward
+  measure over (state, memory) factorizes into (state filter) x (memory
+  filter), epoch-length mixing is the closed-form geometric-series
+  operator, and there is no truncation;
+* opaque sources: enumeration over epoch lengths and the intermediate
+  actions inside each epoch, truncated at ``n_max`` stages per epoch, on
+  the shared :class:`~stagepomdp.strategies.CursorEnumeration`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .epochs import epoch_memory_operator, simulate_batch
 from .errors import (
-    BudgetExceeded,
     InsufficientEpochs,
     NoAcceptedSamples,
     TruncationDominates,
@@ -38,11 +39,13 @@ from .errors import (
 from .model import PomdpModel, validate_stage_duration
 from .strategies import (
     DEFAULT_ENUMERATION_BUDGET,
+    ControllerCursor,
+    CursorEnumeration,
     FiniteStateController,
     HiddenMemoryForm,
     History,
+    ReplayCursor,
     Strategy,
-    StrategyCursor,
     as_controller,
     uniform_action,
 )
@@ -154,16 +157,14 @@ class EpochOperatorEngine:
     # --- full (state x memory) filter: used for joints and act ----------
 
     def initial_filter(self, first_signal):
-        model, ctrl = self.model, self.controller
-        filt = np.zeros((model.n_states, ctrl.n_memory))
-        q0 = ctrl.init_memory[first_signal]
-        for w in range(model.n_states):
-            if model.signal_of(w) == first_signal and model.init[w] > 0.0:
-                filt[w, q0] += model.init[w]
+        filt = np.zeros((self.model.n_states, self.controller.n_memory))
+        filt[:, self.controller.init_memory[first_signal]] = np.where(
+            self.model.signal_map == first_signal, self.model.init, 0.0)
         return filt
 
     def boundary_joint(self, filt, epoch_signal):
-        """Unnormalized joint over (boundary state, boundary action)."""
+        """Unnormalized boundary-action law of a filter: over (boundary state,
+        action) for a full filter, over actions for a memory-only one."""
         return filt @ self.mixed[epoch_signal] @ self.controller.rule
 
     def advance(self, filt, epoch_signal, action, next_signal):
@@ -196,9 +197,6 @@ class EpochOperatorEngine:
         q[self.controller.init_memory[first_signal]] = 1.0
         return q
 
-    def action_weights(self, qdist, epoch_signal):
-        return qdist @ self.mixed[epoch_signal] @ self.controller.rule
-
     def advance_qdist(self, qdist, epoch_signal, action, next_signal):
         """Normalized memory filter after a pinned boundary; None when null."""
         mixed = qdist @ self.mixed[epoch_signal]
@@ -213,76 +211,37 @@ class EpochOperatorEngine:
 def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
     """Truncated-exact joint over (boundary state, boundary action).
 
-    Enumerates epoch lengths up to ``n_max`` and every intermediate action
-    branch, merging branches whose strategy cursors share a merge key.
+    Enumerates each epoch's stages up to ``n_max`` with the state frozen,
+    merging cursors by key into one frontier of state-mass vectors per
+    epoch.  The stage ending an epoch (weight h (1-h)^m) plays the pinned
+    boundary action into the next epoch's frontier, or, in the last epoch,
+    adds its (state, action) law to the joint.
     """
-    k = fil.length
-    boundary = fil.steps
-    signals = [fil.first_signal] + [s for (_, s) in boundary]
+    enum = CursorEnumeration(model, budget, "epoch enumeration")
+    frontier = enum.open(
+        np.where(model.signal_map == fil.first_signal, model.init, 0.0), strategy.start)
+    signal = fil.first_signal
     joint = np.zeros((model.n_states, model.n_actions))
-    one_minus = 1.0 - h
-    visits = [0]
-
-    def run_epoch(epoch_idx, state, frontier):
-        s_here = signals[epoch_idx]
-        last_epoch = epoch_idx == k - 1
-        if not last_epoch:
-            a_pin, s_next = boundary[epoch_idx]
-            row = model.transition[state, a_pin]
-            successors = [
-                (int(w2), float(row[w2]))
-                for w2 in np.nonzero(row > 0.0)[0]
-                if model.signal_of(int(w2)) == s_next
-            ]
-            downstream = {w2: {} for w2, _ in successors}
+    for boundary in fil.steps + (None,):
+        following = {}
         geom = h
-        current = frontier
         for m in range(n_max):
-            expanding = m + 1 < n_max and one_minus > 0.0
+            expanding = m + 1 < n_max and h < 1.0
             grown = {}
-            for cursor, weight in current.values():
-                visits[0] += 1
-                if visits[0] > budget:
-                    raise BudgetExceeded(visits[0], budget, "epoch enumeration")
-                alpha = cursor.action_distribution()
-                if last_epoch:
-                    joint[state] += (weight * geom) * alpha
+            for cursor, mass, alpha in enum.visit(frontier):
+                if boundary is None:
+                    joint += np.outer(geom * mass, alpha)
                 else:
-                    pinned = weight * geom * alpha[a_pin]
-                    if pinned > 0.0:
-                        stepped = cursor.step(a_pin, s_next)
-                        key = stepped.merge_key()
-                        for w2, p in successors:
-                            slot = downstream[w2]
-                            mass = pinned * p
-                            if key in slot:
-                                slot[key] = (slot[key][0], slot[key][1] + mass)
-                            else:
-                                slot[key] = (stepped, mass)
+                    enum.step(following, cursor, geom * mass, alpha, model.transition,
+                              action=boundary[0], signal=boundary[1])
                 if expanding:
-                    for a in np.nonzero(alpha > 0.0)[0]:
-                        nxt = cursor.step(int(a), s_here)
-                        key = nxt.merge_key()
-                        mass = weight * float(alpha[a])
-                        if key in grown:
-                            grown[key] = (grown[key][0], grown[key][1] + mass)
-                        else:
-                            grown[key] = (nxt, mass)
-            if not expanding:
+                    enum.step(grown, cursor, mass, alpha, signal=signal)
+            frontier = grown
+            geom *= 1.0 - h
+            if not frontier or geom == 0.0:
                 break
-            current = grown
-            geom *= one_minus
-            if not current or geom == 0.0:
-                break
-        if not last_epoch:
-            for w2, fr in downstream.items():
-                if fr:
-                    run_epoch(epoch_idx + 1, w2, fr)
-
-    start = strategy.start(fil.first_signal)
-    for w in range(model.n_states):
-        if model.init[w] > 0.0 and model.signal_of(w) == fil.first_signal:
-            run_epoch(0, w, {start.merge_key(): (start, float(model.init[w]))})
+        if boundary is not None:
+            frontier, signal = following, boundary[1]
     return joint
 
 
@@ -291,8 +250,8 @@ def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistor
     """Joint law of (filtered history == fil, boundary state, boundary action).
 
     Returns ``(joint, bound)`` with ``joint`` unnormalized of shape
-    (states, actions).  Controller and sequence sources go through the
-    closed-form route (bound 0); everything else is enumerated with each
+    (states, actions).  Controller, sequence and table sources go through
+    the closed-form route (bound 0); opaque sources are enumerated with each
     epoch truncated at ``n_max`` stages.
     """
     return MimicStrategy(model, strategy, h, n_max, budget).filtered_joint(fil)
@@ -346,50 +305,6 @@ def mimic_action_mc(model: PomdpModel, strategy: Strategy, h,
     return MimicActionEstimate(weights, std_errors, accepted, n_samples)
 
 
-class _MimicControllerCursor(StrategyCursor):
-    """Memory-filter walker for a controller-source mimic strategy."""
-
-    __slots__ = ("engine", "qdist", "signal")
-
-    def __init__(self, engine, qdist, signal):
-        self.engine = engine
-        self.qdist = qdist  # None marks the null branch (uniform fallback)
-        self.signal = signal
-
-    def action_distribution(self):
-        if self.qdist is None:
-            return uniform_action(self.engine.controller.n_actions)
-        return self.engine.action_weights(self.qdist, self.signal)
-
-    def step(self, action, signal):
-        if self.qdist is None:
-            return self
-        nxt = self.engine.advance_qdist(self.qdist, self.signal, action, signal)
-        return _MimicControllerCursor(self.engine, nxt, signal)
-
-    def merge_key(self):
-        if self.qdist is None:
-            return ("null",)
-        return (self.signal, self.qdist.tobytes())
-
-
-class _MimicReplayCursor(StrategyCursor):
-    __slots__ = ("strategy", "history")
-
-    def __init__(self, strategy, history):
-        self.strategy = strategy
-        self.history = history
-
-    def action_distribution(self):
-        return self.strategy.act(self.history)
-
-    def step(self, action, signal):
-        return _MimicReplayCursor(self.strategy, self.history.child(action, signal))
-
-    def merge_key(self):
-        return self.history
-
-
 class MimicStrategy(Strategy):
     """The mimicking strategy as a lazily evaluated, memoized Strategy.
 
@@ -416,7 +331,8 @@ class MimicStrategy(Strategy):
         self._memo_lock = threading.Lock()
 
     def memory_form(self, n_signals):
-        """Hidden-memory form of a controller-source mimic; None otherwise.
+        """Hidden-memory form of a controller-source mimic; None for an
+        opaque source.
 
         The memory is the source memory at the start of the current epoch.
         From memory q under epoch signal s the boundary memory r has law
@@ -435,7 +351,8 @@ class MimicStrategy(Strategy):
 
     def filtered_joint(self, fil: FilteredHistory):
         """``(joint, bound)`` of the source at ``fil``: the closed-form route
-        when the source is a controller, otherwise truncated enumeration."""
+        when the source has a controller form, otherwise truncated
+        enumeration."""
         if self.engine is not None:
             filt, signal = self.engine.filtered_forward(fil)
             return self.engine.boundary_joint(filt, signal), 0.0
@@ -458,11 +375,13 @@ class MimicStrategy(Strategy):
         return weights
 
     def start(self, first_signal):
-        if self.engine is not None:
-            return _MimicControllerCursor(
-                self.engine, self.engine.initial_qdist(first_signal), first_signal
-            )
-        return _MimicReplayCursor(self, History(first_signal))
+        """A controller source's cursor holds the law of its memory at the
+        current epoch's boundary and mixes it over each new epoch."""
+        if self.engine is None:
+            return ReplayCursor(self, History(first_signal))
+        mixed = self.engine.mixed
+        belief = self.engine.initial_qdist(first_signal) @ mixed[first_signal]
+        return ControllerCursor(self.engine.controller, belief, mixed)
 
 
 def build_mimic_strategy(model: PomdpModel, source: Strategy, h, n_max=None,
@@ -534,7 +453,7 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
         if len(nodes) > max_nodes:
             return None
         signal, qdist = nodes[cursor]
-        alpha = engine.action_weights(qdist, signal)
+        alpha = engine.boundary_joint(qdist, signal)
         alpha = np.where(alpha > EDGE_TOL, alpha, 0.0)
         dropped = 1.0 - alpha.sum()
         if dropped > 0.0:

@@ -4,12 +4,13 @@ A history is the observable record (s1, a1, s2, ..., a_{t-1}, s_t); a
 strategy maps every history to a mixed action.  Strategies are immutable
 and ``act`` is pure; all randomness lives in trajectory sampling.
 
-Besides ``act``, every strategy can open a :class:`StrategyCursor` - an
-immutable stepper used by simulators and enumerators.  Cursors expose a
-``merge_key``: two cursors with equal keys behave identically on every
-continuation, so enumeration branches carrying them may be merged
-(weight-summed) without error.  This is what keeps epoch-length
-enumeration polynomial for sequence and table strategies.
+Controllers, action sequences and depth-bounded tables are all finite
+controllers (:func:`as_controller`), which the exact and batched routes
+use.  Any other strategy is opaque: it is only known through a
+:class:`StrategyCursor`, an immutable stepper whose ``merge_key`` is equal
+for two cursors only when they behave identically on every continuation.
+:class:`CursorEnumeration` enumerates such cursors forward one stage at a
+time, merging (mass-summing) branches with equal keys.
 """
 
 from __future__ import annotations
@@ -81,6 +82,24 @@ class StrategyCursor(abc.ABC):
     def merge_key(self): ...
 
 
+@dataclass(frozen=True)
+class ReplayCursor(StrategyCursor):
+    """Cursor that keeps its whole history, plays ``strategy.act`` there and
+    uses the history as its merge key."""
+
+    strategy: "Strategy"
+    history: History | None
+
+    def action_distribution(self):
+        return self.strategy.act(self.history)
+
+    def step(self, action, signal):
+        return ReplayCursor(self.strategy, self.history.child(action, signal))
+
+    def merge_key(self):
+        return self.history
+
+
 class Strategy(abc.ABC):
     """A behavior strategy: pure map from histories to mixed actions."""
 
@@ -94,7 +113,8 @@ class Strategy(abc.ABC):
     def memory_form(self, n_signals) -> HiddenMemoryForm | None:
         """The strategy's hidden-memory form over ``n_signals`` signals, or
         None when it has none."""
-        return None
+        controller = as_controller(self, n_signals)
+        return None if controller is None else controller.memory_form(n_signals)
 
     def act(self, history: History) -> np.ndarray:
         cursor = self.start(history.first_signal)
@@ -146,33 +166,18 @@ class SequenceStrategy(Strategy):
     def start(self, first_signal):
         return _SequenceCursor(self, 0)
 
-    def memory_form(self, n_signals):
-        return sequence_as_controller(self, n_signals).memory_form(n_signals)
-
     def act(self, history):
         return self.actions[(history.length - 1) % len(self.actions)]
 
 
-@dataclass(frozen=True)
-class _TableCursor(StrategyCursor):
-    strategy: "TableStrategy"
-    history: History | None   # None once past the table depth
-
-    def action_distribution(self):
-        if self.history is None:
-            return self.strategy.default
-        return self.strategy.lookup(self.history)
+class _TableCursor(ReplayCursor):
+    """Replay cursor of a table; every history past the depth plays the
+    default, so they all share the history None."""
 
     def step(self, action, signal):
         if self.history is None:
             return self
-        child = self.history.child(action, signal)
-        if child.length > self.strategy.depth:
-            return _TableCursor(self.strategy, None)
-        return _TableCursor(self.strategy, child)
-
-    def merge_key(self):
-        return self.history  # identical tables behave identically past depth
+        return self.strategy._cursor(self.history.child(action, signal))
 
 
 class TableStrategy(Strategy):
@@ -190,35 +195,73 @@ class TableStrategy(Strategy):
         for w in self.table.values():
             w.flags.writeable = False
         self.default.flags.writeable = False
+        self._controllers = {}
 
     def lookup(self, history):
-        if history.length > self.depth:
+        if history is None or history.length > self.depth:
             return self.default
         return self.table.get(history, self.default)
 
     def start(self, first_signal):
-        hist = History(first_signal)
-        if hist.length > self.depth:
-            return _TableCursor(self, None)
-        return _TableCursor(self, hist)
+        return self._cursor(History(first_signal))
+
+    def _cursor(self, history):
+        return _TableCursor(self, history if history.length <= self.depth else None)
 
     def act(self, history):
         return self.lookup(history)
 
+    def controller(self, n_signals) -> "FiniteStateController":
+        """The table as a controller over ``n_signals`` signals, built once.
 
-class _ControllerCursor(StrategyCursor):
+        Its memories are the prefixes (of length at most the depth) of the
+        keys, each playing its lookup, and one absorbing memory playing the
+        default; a memory moves on (action, signal) to its child history, or
+        to the absorbing one when the child is not a memory.  A dense
+        ``update`` above ``DEFAULT_ENUMERATION_BUDGET`` entries is refused.
+        """
+        if n_signals in self._controllers:
+            return self._controllers[n_signals]
+        nodes = {}
+        for key in self.table:
+            if key.length <= self.depth:
+                for n in range(key.length):
+                    nodes.setdefault(History(key.first_signal, key.steps[:n]),
+                                     len(nodes))
+        absorbing = len(nodes)
+        n_q, n_a = absorbing + 1, self.n_actions
+        if n_q * n_a * n_signals * n_q > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceeded(n_q * n_a * n_signals * n_q,
+                                 DEFAULT_ENUMERATION_BUDGET, "table controller")
+        rule = np.tile(self.default, (n_q, 1))
+        update = np.zeros((n_q, n_a, n_signals, n_q))
+        update[absorbing, :, :, absorbing] = 1.0
+        for hist, q in nodes.items():
+            rule[q] = self.lookup(hist)
+            for a in range(n_a):
+                for s in range(n_signals):
+                    update[q, a, s, nodes.get(hist.child(a, s), absorbing)] = 1.0
+        init_memory = [nodes.get(History(s), absorbing) for s in range(n_signals)]
+        self._controllers[n_signals] = FiniteStateController(init_memory, rule, update)
+        return self._controllers[n_signals]
+
+
+class ControllerCursor(StrategyCursor):
     """Distribution over controller memory given the observed history.
 
     The posterior reweights by the probability the controller would have
     produced each observed action; a zero normalizer (history the
-    controller cannot generate) degenerates to the uniform fallback.
+    controller cannot generate) degenerates to the uniform fallback.  With
+    ``mixed`` given, each new belief is mixed by ``mixed[signal]``, as a
+    mimic's memory filter is over an epoch (see ``mimic.MimicStrategy``).
     """
 
-    __slots__ = ("controller", "belief")
+    __slots__ = ("controller", "belief", "mixed")
 
-    def __init__(self, controller, belief):
+    def __init__(self, controller, belief, mixed=None):
         self.controller = controller
         self.belief = belief  # None marks the degenerate branch
+        self.mixed = mixed
 
     def action_distribution(self):
         if self.belief is None:
@@ -231,10 +274,12 @@ class _ControllerCursor(StrategyCursor):
         weighted = self.belief * self.controller.rule[:, action]
         total = weighted.sum()
         if total <= 0.0:
-            return _ControllerCursor(self.controller, None)
+            return ControllerCursor(self.controller, None)
         posterior = weighted / total
         belief = posterior @ self.controller.update[:, action, signal, :]
-        return _ControllerCursor(self.controller, belief)
+        if self.mixed is not None:
+            belief = belief @ self.mixed[signal]
+        return ControllerCursor(self.controller, belief, self.mixed)
 
     def merge_key(self):
         if self.belief is None:
@@ -267,6 +312,9 @@ class FiniteStateController(Strategy):
         if self.update.shape != (self.n_memory, self.n_actions, self.n_signals,
                                  self.n_memory):
             raise ValueError(f"update has shape {self.update.shape}")
+        if self.init_memory.shape != (self.n_signals,):
+            raise ValueError(f"init_memory has shape {self.init_memory.shape}, "
+                             f"expected ({self.n_signals},)")
         if np.any(self.init_memory < 0) or np.any(self.init_memory >= self.n_memory):
             raise ValueError("init_memory out of range")
         for q in range(self.n_memory):
@@ -278,7 +326,7 @@ class FiniteStateController(Strategy):
     def start(self, first_signal):
         belief = np.zeros(self.n_memory)
         belief[self.init_memory[first_signal]] = 1.0
-        return _ControllerCursor(self, belief)
+        return ControllerCursor(self, belief)
 
     def memory_form(self, n_signals):
         n_q, n_a, n_s = self.n_memory, self.n_actions, self.n_signals
@@ -303,13 +351,85 @@ def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateContr
 
 def as_controller(strategy: Strategy, n_signals) -> FiniteStateController | None:
     """The strategy as a controller over ``n_signals`` signals: controllers as
-    they are, sequences through :func:`sequence_as_controller`, None for any
-    other strategy."""
+    they are, sequences through :func:`sequence_as_controller`, tables through
+    :meth:`TableStrategy.controller`, None for any other strategy."""
     if isinstance(strategy, FiniteStateController):
         return strategy
     if isinstance(strategy, SequenceStrategy):
         return sequence_as_controller(strategy, n_signals)
+    if isinstance(strategy, TableStrategy):
+        return strategy.controller(n_signals)
     return None
+
+
+class CursorEnumeration:
+    """Forward enumeration of strategy cursors, one stage at a time.
+
+    A frontier maps a cursor merge key to ``(cursor, mass)``, ``mass`` the
+    vector over states of every branch with that key; cursors do not depend
+    on the state, so this merge is exact.  Each :meth:`visit` charges the
+    frontier to ``budget``.
+    """
+
+    def __init__(self, model: PomdpModel, budget, what):
+        self.signal_map = model.signal_map
+        self.budget = budget
+        self.what = what
+        self.visits = 0
+
+    def open(self, mass, start):
+        """First-stage frontier: ``mass`` split by signal s, held by ``start(s)``."""
+        frontier = {}
+        for s, part in self._split(mass):
+            self._merge(frontier, start(s), part)
+        return frontier
+
+    def visit(self, frontier):
+        """Yield ``(cursor, mass, action law)`` for every frontier entry."""
+        self.visits += len(frontier)
+        if self.visits > self.budget:
+            raise BudgetExceeded(self.visits, self.budget, self.what)
+        for cursor, mass in frontier.values():
+            yield cursor, mass, cursor.action_distribution()
+
+    def step(self, into, cursor, mass, alpha, kernel=None, *, action=None,
+             signal=None):
+        """Push one cursor's mass through one stage into the frontier ``into``:
+        each action a in the support of ``alpha`` (or only ``action``) moves
+        it to ``(mass @ kernel[:, a, :]) * alpha[a]``, split by next signal (or
+        kept on ``signal``) and merged under the key of the cursor stepped by
+        (a, signal).  With no kernel the state, and so ``signal``, stays put."""
+        if action is None:
+            actions = np.nonzero(alpha > 0.0)[0].tolist()
+        else:
+            actions = [action] if alpha[action] > 0.0 else []
+        for a in actions:
+            if kernel is None:
+                self._merge(into, cursor.step(a, signal), mass * alpha[a])
+                continue
+            for s, part in self._split((mass @ kernel[:, a, :]) * alpha[a], signal):
+                self._merge(into, cursor.step(a, s), part)
+
+    def _split(self, mass, signal=None):
+        """``(s, mass on signal s)`` per signal carrying mass, in the order of its
+        first such state; only ``signal`` when given."""
+        if signal is None:
+            signals = dict.fromkeys(self.signal_map[mass > 0.0].tolist())
+        else:
+            signals = (signal,)
+        for s in signals:
+            part = np.where(self.signal_map == s, mass, 0.0)
+            if part.any():
+                yield s, part
+
+    @staticmethod
+    def _merge(frontier, cursor, mass):
+        key = cursor.merge_key()
+        entry = frontier.get(key)
+        if entry is None:
+            frontier[key] = (cursor, mass)
+        else:
+            entry[1][:] += mass
 
 
 def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,
@@ -317,44 +437,24 @@ def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,
     """Exact joint law of (history of length ``depth``, current state).
 
     Returns a map ``(History, state_index) -> probability`` containing the
-    positive-probability entries; the total mass is 1 up to roundoff.
+    positive-probability entries; the total mass is 1 up to roundoff.  The
+    action law at each history is ``strategy.act``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     worst = model.n_states * (model.n_actions * model.n_signals) ** (depth - 1)
     if worst > budget:
         raise BudgetExceeded(worst, budget, f"history depth {depth}")
-
-    # frontier: history -> vector of state probabilities
-    frontier: dict[History, np.ndarray] = {}
-    for w in range(model.n_states):
-        p = model.init[w]
-        if p <= 0.0:
-            continue
-        hist = History(model.signal_of(w))
-        vec = frontier.setdefault(hist, np.zeros(model.n_states))
-        vec[w] += p
-
+    enum = CursorEnumeration(model, budget, "history expansion")
+    frontier = enum.open(model.init, lambda s: ReplayCursor(strategy, History(s)))
     for _ in range(depth - 1):
-        new_frontier: dict[History, np.ndarray] = {}
-        for hist, state_probs in frontier.items():
-            mixed = strategy.act(hist)
-            for a in range(model.n_actions):
-                if mixed[a] <= 0.0:
-                    continue
-                succ = state_probs @ model.transition[:, a, :] * mixed[a]
-                for w2 in np.nonzero(succ > 0.0)[0]:
-                    child = hist.child(a, model.signal_of(int(w2)))
-                    vec = new_frontier.setdefault(child, np.zeros(model.n_states))
-                    vec[int(w2)] += succ[int(w2)]
-            if len(new_frontier) * model.n_states > budget:
-                raise BudgetExceeded(
-                    len(new_frontier) * model.n_states, budget, "history expansion"
-                )
-        frontier = new_frontier
+        grown = {}
+        for cursor, mass, alpha in enum.visit(frontier):
+            enum.step(grown, cursor, mass, alpha, model.transition)
+        frontier = grown
 
     out = {}
-    for hist, state_probs in frontier.items():
+    for hist, (_, state_probs) in frontier.items():
         for w in np.nonzero(state_probs > 0.0)[0]:
             out[(hist, int(w))] = float(state_probs[int(w)])
     return out

@@ -18,7 +18,7 @@ from stagepomdp.evaluate import (
     longrun_average_mc,
 )
 from stagepomdp.mimic import build_mimic_strategy, mimic_action_mc
-from stagepomdp.model import make_model
+from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
     FiniteStateController,
     History,
@@ -166,14 +166,21 @@ def batched_mean(model, strategy, h, t, n_plays, seed):
     return means.mean(), means.std(ddof=1) / math.sqrt(n_plays)
 
 
-@pytest.mark.parametrize("name", ["stochastic_update", "cycle"])
+@pytest.mark.parametrize("name", ["stochastic_update", "cycle", "table"])
 def test_batched_law_controllers(name):
     m = random_pomdp_model()
-    ctrl = (stochastic_update_controller(m) if name == "stochastic_update"
-            else alternating_controller(m))
     h, t = 0.5, 30
-    mean, se = batched_mean(m, ctrl, h, t, 20_000, worker_rng(41, 0))
-    assert abs(mean - controller_finite_mean(m, ctrl, h, t)) <= 4.0 * se
+    if name == "table":
+        # the exact mean enumerates the table's own lookups, not its
+        # controller, over the duration-h model, so t stays small
+        strategy, t = small_table(), 4
+        exact = strategy_finite_mean(stage_duration_transform(m, h), strategy, t)
+    else:
+        strategy = (stochastic_update_controller(m) if name == "stochastic_update"
+                    else alternating_controller(m))
+        exact = controller_finite_mean(m, strategy, h, t)
+    mean, se = batched_mean(m, strategy, h, t, 20_000, worker_rng(41, 0))
+    assert abs(mean - exact) <= 4.0 * se
 
 
 def test_batched_law_controller_source_mimic():
@@ -234,28 +241,25 @@ class Opaque(Strategy):
         return self.inner.start(first_signal)
 
 
-def cursor_sources(model):
+def small_table():
     hist1 = History(0)
-    table = TableStrategy(2, 2, {hist1: [0.9, 0.1], hist1.child(0, 0): [0.2, 0.8],
-                                 hist1.child(1, 1): [0.6, 0.4]},
-                          default=[0.3, 0.7])
-    return {"table": table, "opaque": Opaque(mixing_controller(model))}
+    return TableStrategy(2, 2, {hist1: [0.9, 0.1], hist1.child(0, 0): [0.2, 0.8],
+                                hist1.child(1, 1): [0.6, 0.4]},
+                         default=[0.3, 0.7])
 
 
 # values of the per-trajectory cursor simulator before batched simulation
-# existed; tables and opaque strategies must keep its random stream
+# existed; opaque strategies must keep its random stream
 CURSOR_VALUES = {
-    "table": (0.6462827639463863, 0.011195666360470832, 0.6646424371311567,
-              0.02171027256350313, (0.24489795918367346, 0.7551020408163265), 49),
     "opaque": (0.5380175620374515, 0.011782727474745262, 0.6018871057383659,
                0.02550112197070369, (0.5094339622641509, 0.49056603773584906), 53),
 }
 
 
-@pytest.mark.parametrize("name", ["table", "opaque"])
+@pytest.mark.parametrize("name", ["opaque"])
 def test_cursor_path_stream_unchanged(name):
     m = random_pomdp_model()
-    strategy = cursor_sources(m)[name]
+    strategy = Opaque(mixing_controller(m))
     assert strategy.memory_form(m.n_signals) is None
     longrun = longrun_average_mc(m, strategy, 0.5, horizon=60, n_traj=12,
                                  seed_or_rng=worker_rng(31, 0))
@@ -268,12 +272,13 @@ def test_cursor_path_stream_unchanged(name):
     assert got == CURSOR_VALUES[name]
 
 
-def test_table_source_mimic_takes_cursor_path():
+def test_table_source_mimic_has_memory_form():
     m = random_pomdp_model()
-    table_mimic = build_mimic_strategy(m, cursor_sources(m)["table"], 0.5)
-    assert table_mimic.memory_form(m.n_signals) is None
-    ctrl_mimic = build_mimic_strategy(m, mixing_controller(m), 0.5)
-    assert ctrl_mimic.memory_form(m.n_signals) is not None
+    assert small_table().memory_form(m.n_signals) is not None
+    table_mimic = build_mimic_strategy(m, small_table(), 0.5)
+    assert table_mimic.memory_form(m.n_signals) is not None
+    opaque_mimic = build_mimic_strategy(m, Opaque(small_table()), 0.5)
+    assert opaque_mimic.memory_form(m.n_signals) is None
 
 
 def test_batched_rejects_empty_horizon():

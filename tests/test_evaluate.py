@@ -19,7 +19,7 @@ from stagepomdp.evaluate import (
     longrun_average_mc,
 )
 from stagepomdp.model import make_model, stage_duration_transform
-from stagepomdp.strategies import SequenceStrategy
+from stagepomdp.strategies import History, SequenceStrategy, Strategy, TableStrategy
 from stagepomdp.verify import (
     alternating_controller,
     figure1_model,
@@ -157,13 +157,22 @@ def test_figure1_absorption_average_zero():
     assert dist[2] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_exact_longrun_rejects_general_strategy():
-    from stagepomdp.strategies import History, TableStrategy
+class Opaque(Strategy):
+    """Hides the concrete strategy class, forcing the general routes."""
 
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+
+    def start(self, first_signal):
+        return self.inner.start(first_signal)
+
+
+def test_exact_longrun_rejects_general_strategy():
     m = figure1_model()
     table = TableStrategy(2, 1, {History(0): [1.0, 0.0]})
     with pytest.raises(TypeError):
-        longrun_average_exact_fsc(m, table, 0.5)
+        longrun_average_exact_fsc(m, Opaque(table), 0.5)
 
 
 def test_two_state_cycle_average_half():

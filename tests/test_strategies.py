@@ -145,11 +145,49 @@ def test_as_controller_converts_sequence():
 
 def test_as_controller_none_for_other_strategies():
     model = figure1_model()
-    table = TableStrategy(2, 2, {History(0): [1.0, 0.0]})
     opaque = _Opaque(SequenceStrategy.pure([0, 1], 2))
     mimic = build_mimic_strategy(model, alternating_controller(model), 0.5)
-    for strategy in (table, opaque, mimic):
+    for strategy in (opaque, mimic):
         assert as_controller(strategy, model.n_signals) is None
+
+
+def test_as_controller_converts_table_once():
+    model = random_pomdp_model()
+    hist1 = History(1)
+    table = TableStrategy(2, 3, {
+        hist1: [0.9, 0.1],
+        hist1.child(0, 0).child(1, 1): [0.2, 0.8],   # prefix hist1.child(0, 0) unset
+        History(0, ((1, 1), (1, 0), (0, 0))): [0.0, 1.0],   # past the depth
+    }, default=[0.35, 0.65])
+    ctrl = as_controller(table, model.n_signals)
+    assert isinstance(ctrl, FiniteStateController)
+    assert as_controller(table, model.n_signals) is ctrl
+    # memories: hist1, its child and grandchild, and the absorbing default
+    assert ctrl.n_memory == 4
+    # every history is reachable (no action has probability 0 along it), so
+    # the controller's posterior stays a point mass and it plays the table
+    for depth in (1, 2, 3, 4):
+        for hist in all_histories(model, depth):
+            assert np.array_equal(ctrl.act(hist), table.act(hist))
+
+
+def test_table_controller_budget_guard():
+    # every history to depth 4 over 3 actions and 3 signals: 2,461 memories,
+    # so a dense update of 2,461^2 x 9 entries is refused before it is built
+    hists = [History(s) for s in range(3)]
+    table = {}
+    for _ in range(4):
+        table.update({hist: [1.0, 0.0, 0.0] for hist in hists})
+        hists = [h.child(a, s) for h in hists for a in range(3) for s in range(3)]
+    with pytest.raises(BudgetExceeded):
+        as_controller(TableStrategy(3, 4, table), 3)
+
+
+def test_controller_rejects_init_memory_shape():
+    with pytest.raises(ValueError):
+        FiniteStateController([0], [[0.5, 0.5]], np.ones((1, 2, 2, 1)))
+    with pytest.raises(ValueError):
+        FiniteStateController([[0]], [[0.5, 0.5]], np.ones((1, 2, 1, 1)))
 
 
 def test_sequence_as_controller_equivalent_mixed():

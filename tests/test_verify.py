@@ -9,7 +9,7 @@ from stagepomdp import verify
 from stagepomdp.evaluate import longrun_average_exact_fsc
 from stagepomdp.mimic import build_filter_machine
 from stagepomdp.model import is_fully_observed, make_model, validate_model
-from stagepomdp.strategies import SequenceStrategy
+from stagepomdp.strategies import History, SequenceStrategy, Strategy, TableStrategy
 from stagepomdp.verify import (
     alternating_controller,
     check_cesaro_alignment,
@@ -98,9 +98,21 @@ def test_marginal_lemma_constant_payoff():
     assert report.quantities["rhs_expected_payoff"] == pytest.approx(0.42, abs=1e-10)
 
 
-def test_marginal_lemma_table_source_truncated():
-    from stagepomdp.strategies import History, TableStrategy
+class Opaque(Strategy):
+    """Hides the concrete strategy class, forcing the enumeration route."""
 
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+
+    def start(self, first_signal):
+        return self.inner.start(first_signal)
+
+    def act(self, history):
+        return self.inner.act(history)
+
+
+def test_marginal_lemma_table_source_truncated():
     m = figure1_model()
     hist1 = History(0)
     table = TableStrategy(
@@ -108,7 +120,7 @@ def test_marginal_lemma_table_source_truncated():
         {hist1: [0.9, 0.1], hist1.child(0, 0): [0.2, 0.8]},
         default=[0.5, 0.5],
     )
-    report = check_marginal_lemma(m, table, 0.5, 2, n_max=40)
+    report = check_marginal_lemma(m, Opaque(table), 0.5, 2, n_max=40)
     assert report.passed
     assert report.metadata["truncation_bound"] > 0.0
     # both joints account for (almost) all probability
