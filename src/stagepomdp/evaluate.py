@@ -207,8 +207,8 @@ def longrun_average_exact_fsc(model: PomdpModel, controller, h) -> PayoffEstimat
     if controller is None:
         raise TypeError(
             "exact long-run evaluation needs a finite-state controller, an "
-            "action sequence or a table; use longrun_average_mc for other "
-            "strategies"
+            "action sequence or a table of at most MAX_TABLE_MEMORIES "
+            "memories; use longrun_average_mc for other strategies"
         )
     chain, init, payoffs = controller_product_chain(model, controller, h)
     value = cesaro_average(chain, init, payoffs)

@@ -12,14 +12,16 @@ events it plays the fixed uniform fallback.
 
 Two exact routes are implemented:
 
-* controller sources (controllers, sequences and tables, see
+* controller sources (controllers, sequences and tables up to
+  ``MAX_TABLE_MEMORIES`` memories, see
   :func:`~stagepomdp.strategies.as_controller`): the filtered forward
   measure over (state, memory) factorizes into (state filter) x (memory
   filter), epoch-length mixing is the closed-form geometric-series
   operator, and there is no truncation;
-* opaque sources: enumeration over epoch lengths and the intermediate
-  actions inside each epoch, truncated at ``n_max`` stages per epoch, on
-  the shared :class:`~stagepomdp.strategies.CursorEnumeration`.
+* opaque sources and larger tables: enumeration over epoch lengths and
+  the intermediate actions inside each epoch, truncated at ``n_max``
+  stages per epoch, on the shared
+  :class:`~stagepomdp.strategies.CursorEnumeration`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ DEFAULT_TAIL_MASS = 1e-9
 #: action probabilities below this are treated as structural zeros when
 #: enumerating filter-automaton edges
 EDGE_TOL = 1e-14
+
+#: filter-automaton merge defects up to this are floating-point roundoff
+#: (one filter reached by different arithmetic), not distinct filters merged
+MERGE_ROUNDOFF = 1e-12
 
 
 def default_truncation(h, tail=DEFAULT_TAIL_MASS):
@@ -154,17 +160,12 @@ class EpochOperatorEngine:
              for s in range(model.n_signals)]
         )
 
-    # --- full (state x memory) filter: used for joints and act ----------
-
     def initial_filter(self, first_signal):
-        filt = np.zeros((self.model.n_states, self.controller.n_memory))
-        filt[:, self.controller.init_memory[first_signal]] = np.where(
-            self.model.signal_map == first_signal, self.model.init, 0.0)
-        return filt
+        state = np.where(self.model.signal_map == first_signal, self.model.init, 0.0)
+        return np.outer(state, self.controller.start(first_signal).belief)
 
     def boundary_joint(self, filt, epoch_signal):
-        """Unnormalized boundary-action law of a filter: over (boundary state,
-        action) for a full filter, over actions for a memory-only one."""
+        """Unnormalized joint over (boundary state, boundary action)."""
         return filt @ self.mixed[epoch_signal] @ self.controller.rule
 
     def advance(self, filt, epoch_signal, action, next_signal):
@@ -184,28 +185,6 @@ class EpochOperatorEngine:
             filt = self.advance(filt, signal, action, next_signal)
             signal = next_signal
         return filt, signal
-
-    # --- memory-only filter: drives play of the mimic strategy ----------
-    #
-    # The filter factorizes as (state part) x (memory part) and the
-    # boundary-action law depends on the memory part and the current epoch
-    # signal only, so simulation and automaton construction never need the
-    # state part.
-
-    def initial_qdist(self, first_signal):
-        q = np.zeros(self.controller.n_memory)
-        q[self.controller.init_memory[first_signal]] = 1.0
-        return q
-
-    def advance_qdist(self, qdist, epoch_signal, action, next_signal):
-        """Normalized memory filter after a pinned boundary; None when null."""
-        mixed = qdist @ self.mixed[epoch_signal]
-        weighted = mixed * self.controller.rule[:, action]
-        total = weighted.sum()
-        if total <= 0.0:
-            return None
-        posterior = weighted / total
-        return posterior @ self.controller.update[:, action, next_signal, :]
 
 
 def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
@@ -235,7 +214,8 @@ def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
                     enum.step(following, cursor, geom * mass, alpha, model.transition,
                               action=boundary[0], signal=boundary[1])
                 if expanding:
-                    enum.step(grown, cursor, mass, alpha, signal=signal)
+                    for a in np.nonzero(alpha > 0.0)[0].tolist():
+                        enum.merge(grown, cursor.step(a, signal), mass * alpha[a])
             frontier = grown
             geom *= 1.0 - h
             if not frontier or geom == 0.0:
@@ -250,8 +230,8 @@ def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistor
     """Joint law of (filtered history == fil, boundary state, boundary action).
 
     Returns ``(joint, bound)`` with ``joint`` unnormalized of shape
-    (states, actions).  Controller, sequence and table sources go through
-    the closed-form route (bound 0); opaque sources are enumerated with each
+    (states, actions).  Sources with a controller form go through the
+    closed-form route (bound 0); opaque sources are enumerated with each
     epoch truncated at ``n_max`` stages.
     """
     return MimicStrategy(model, strategy, h, n_max, budget).filtered_joint(fil)
@@ -380,7 +360,7 @@ class MimicStrategy(Strategy):
         if self.engine is None:
             return ReplayCursor(self, History(first_signal))
         mixed = self.engine.mixed
-        belief = self.engine.initial_qdist(first_signal) @ mixed[first_signal]
+        belief = self.engine.controller.start(first_signal).belief @ mixed[first_signal]
         return ControllerCursor(self.engine.controller, belief, mixed)
 
 
@@ -403,7 +383,8 @@ class FilterMachine:
     ``update`` the one-hot edges (edges on zero-probability actions point
     at node 0).  ``merge_defect`` is the largest filter distance collapsed
     by the rounding dedup plus any action mass dropped below the edge
-    tolerance; zero means the automaton is exact.
+    tolerance; up to ``MERGE_ROUNDOFF`` the automaton is exact but for
+    roundoff.
     """
 
     controller: FiniteStateController
@@ -444,7 +425,7 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
         return idx
 
     init_nodes = np.array(
-        [register(s, engine.initial_qdist(s)) for s in range(n_s)], dtype=np.int64
+        [register(s, controller.start(s).belief) for s in range(n_s)], dtype=np.int64
     )
     action_rows = []
     edge_rows = []
@@ -453,7 +434,10 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
         if len(nodes) > max_nodes:
             return None
         signal, qdist = nodes[cursor]
-        alpha = engine.boundary_joint(qdist, signal)
+        # the filter is (state part) x (memory part) and the boundary law
+        # needs only the memory part, mixed over the epoch
+        boundary = ControllerCursor(controller, qdist @ engine.mixed[signal])
+        alpha = boundary.action_distribution()
         alpha = np.where(alpha > EDGE_TOL, alpha, 0.0)
         dropped = 1.0 - alpha.sum()
         if dropped > 0.0:
@@ -462,8 +446,7 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
         edges = np.zeros((n_a, n_s), dtype=np.int64)
         for a in np.nonzero(alpha)[0]:
             for s2 in range(n_s):
-                nxt = engine.advance_qdist(qdist, signal, a, s2)
-                edges[a, s2] = register(s2, nxt)
+                edges[a, s2] = register(s2, boundary.step(a, s2).belief)
         action_rows.append(alpha)
         edge_rows.append(edges)
         cursor += 1

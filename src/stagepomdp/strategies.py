@@ -4,9 +4,10 @@ A history is the observable record (s1, a1, s2, ..., a_{t-1}, s_t); a
 strategy maps every history to a mixed action.  Strategies are immutable
 and ``act`` is pure; all randomness lives in trajectory sampling.
 
-Controllers, action sequences and depth-bounded tables are all finite
-controllers (:func:`as_controller`), which the exact and batched routes
-use.  Any other strategy is opaque: it is only known through a
+Controllers, action sequences and depth-bounded tables of at most
+``MAX_TABLE_MEMORIES`` memories are all finite controllers
+(:func:`as_controller`), which the exact and batched routes use.  Any
+other strategy, and any larger table, is opaque: it is only known through a
 :class:`StrategyCursor`, an immutable stepper whose ``merge_key`` is equal
 for two cursors only when they behave identically on every continuation.
 :class:`CursorEnumeration` enumerates such cursors forward one stage at a
@@ -25,6 +26,10 @@ from .model import PomdpModel, validate_mixed_action
 
 #: default cap on joint (history, state) enumeration entries
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+
+#: largest table, in memories, converted to a controller; a larger one keeps
+#: its cursor routes, cheaper than its dense (states x memories) product chain
+MAX_TABLE_MEMORIES = 128
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ class TableStrategy(Strategy):
         self.default.flags.writeable = False
         self._controllers = {}
 
-    def lookup(self, history):
+    def act(self, history):
         if history is None or history.length > self.depth:
             return self.default
         return self.table.get(history, self.default)
@@ -208,17 +213,15 @@ class TableStrategy(Strategy):
     def _cursor(self, history):
         return _TableCursor(self, history if history.length <= self.depth else None)
 
-    def act(self, history):
-        return self.lookup(history)
-
-    def controller(self, n_signals) -> "FiniteStateController":
+    def controller(self, n_signals) -> "FiniteStateController | None":
         """The table as a controller over ``n_signals`` signals, built once.
 
         Its memories are the prefixes (of length at most the depth) of the
         keys, each playing its lookup, and one absorbing memory playing the
         default; a memory moves on (action, signal) to its child history, or
-        to the absorbing one when the child is not a memory.  A dense
-        ``update`` above ``DEFAULT_ENUMERATION_BUDGET`` entries is refused.
+        to the absorbing one when the child is not a memory.  A table with
+        more than ``MAX_TABLE_MEMORIES`` memories has no controller (None):
+        its dense product chain would cost more than enumerating its cursors.
         """
         if n_signals in self._controllers:
             return self._controllers[n_signals]
@@ -228,16 +231,16 @@ class TableStrategy(Strategy):
                 for n in range(key.length):
                     nodes.setdefault(History(key.first_signal, key.steps[:n]),
                                      len(nodes))
+        if len(nodes) >= MAX_TABLE_MEMORIES:
+            self._controllers[n_signals] = None
+            return None
         absorbing = len(nodes)
         n_q, n_a = absorbing + 1, self.n_actions
-        if n_q * n_a * n_signals * n_q > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceeded(n_q * n_a * n_signals * n_q,
-                                 DEFAULT_ENUMERATION_BUDGET, "table controller")
         rule = np.tile(self.default, (n_q, 1))
         update = np.zeros((n_q, n_a, n_signals, n_q))
         update[absorbing, :, :, absorbing] = 1.0
         for hist, q in nodes.items():
-            rule[q] = self.lookup(hist)
+            rule[q] = self.act(hist)
             for a in range(n_a):
                 for s in range(n_signals):
                     update[q, a, s, nodes.get(hist.child(a, s), absorbing)] = 1.0
@@ -351,8 +354,9 @@ def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateContr
 
 def as_controller(strategy: Strategy, n_signals) -> FiniteStateController | None:
     """The strategy as a controller over ``n_signals`` signals: controllers as
-    they are, sequences through :func:`sequence_as_controller`, tables through
-    :meth:`TableStrategy.controller`, None for any other strategy."""
+    they are, sequences through :func:`sequence_as_controller`, tables of at
+    most ``MAX_TABLE_MEMORIES`` memories through :meth:`TableStrategy.controller`,
+    None for any other strategy."""
     if isinstance(strategy, FiniteStateController):
         return strategy
     if isinstance(strategy, SequenceStrategy):
@@ -381,7 +385,7 @@ class CursorEnumeration:
         """First-stage frontier: ``mass`` split by signal s, held by ``start(s)``."""
         frontier = {}
         for s, part in self._split(mass):
-            self._merge(frontier, start(s), part)
+            self.merge(frontier, start(s), part)
         return frontier
 
     def visit(self, frontier):
@@ -392,23 +396,19 @@ class CursorEnumeration:
         for cursor, mass in frontier.values():
             yield cursor, mass, cursor.action_distribution()
 
-    def step(self, into, cursor, mass, alpha, kernel=None, *, action=None,
-             signal=None):
+    def step(self, into, cursor, mass, alpha, kernel, *, action=None, signal=None):
         """Push one cursor's mass through one stage into the frontier ``into``:
         each action a in the support of ``alpha`` (or only ``action``) moves
         it to ``(mass @ kernel[:, a, :]) * alpha[a]``, split by next signal (or
         kept on ``signal``) and merged under the key of the cursor stepped by
-        (a, signal).  With no kernel the state, and so ``signal``, stays put."""
+        (a, signal)."""
         if action is None:
             actions = np.nonzero(alpha > 0.0)[0].tolist()
         else:
             actions = [action] if alpha[action] > 0.0 else []
         for a in actions:
-            if kernel is None:
-                self._merge(into, cursor.step(a, signal), mass * alpha[a])
-                continue
             for s, part in self._split((mass @ kernel[:, a, :]) * alpha[a], signal):
-                self._merge(into, cursor.step(a, s), part)
+                self.merge(into, cursor.step(a, s), part)
 
     def _split(self, mass, signal=None):
         """``(s, mass on signal s)`` per signal carrying mass, in the order of its
@@ -423,7 +423,8 @@ class CursorEnumeration:
                 yield s, part
 
     @staticmethod
-    def _merge(frontier, cursor, mass):
+    def merge(frontier, cursor, mass):
+        """Add ``mass`` to the frontier entry under ``cursor``'s key."""
         key = cursor.merge_key()
         entry = frontier.get(key)
         if entry is None:

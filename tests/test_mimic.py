@@ -21,6 +21,7 @@ from stagepomdp.mimic import (
 )
 from stagepomdp.model import make_model
 from stagepomdp.strategies import (
+    FiniteStateController,
     History,
     SequenceStrategy,
     Strategy,
@@ -169,14 +170,19 @@ def test_second_boundary_action_conditions_on_first():
 
 def test_operator_and_enumeration_routes_agree():
     m = random_pomdp_model()
-    ctrl = mixing_controller(m)
+    # the second controller remembers the last signal, so an epoch
+    # enumerated under the wrong signal plays the wrong rule
+    remembers_signal = FiniteStateController(
+        [0, 1], [[0.8, 0.2], [0.3, 0.7]],
+        np.broadcast_to(np.eye(2)[None, None, :, :], (2, 2, 2, 2)))
     h = 0.5
-    for eta in (History(0), History(0, ((0, 1),)), History(1, ((1, 0), (0, 0)))):
-        exact_joint, bound0 = filtered_joint(m, ctrl, h, eta)
-        assert bound0 == 0.0
-        enum_joint, bound = filtered_joint(m, Opaque(ctrl), h, eta, n_max=80)
-        assert bound == truncation_bound(h, eta.length, 80)
-        assert np.max(np.abs(exact_joint - enum_joint)) <= bound + 1e-10
+    for ctrl in (mixing_controller(m), remembers_signal):
+        for eta in (History(0), History(0, ((0, 1),)), History(1, ((1, 0), (0, 0)))):
+            exact_joint, bound0 = filtered_joint(m, ctrl, h, eta)
+            assert bound0 == 0.0
+            enum_joint, bound = filtered_joint(m, Opaque(ctrl), h, eta, n_max=80)
+            assert bound == truncation_bound(h, eta.length, 80)
+            assert np.max(np.abs(exact_joint - enum_joint)) <= bound + 1e-10
 
 
 def random_table_case(seed, n_states, n_actions, n_signals, depth):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from stagepomdp.epochs import simulate_gh, worker_rng
+from stagepomdp.evaluate import discounted_payoff, longrun_average_mc
 from stagepomdp.errors import BudgetExceeded
 from stagepomdp.mimic import build_mimic_strategy
-from stagepomdp.model import stage_duration_transform
+from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
+    MAX_TABLE_MEMORIES,
     FiniteStateController,
     History,
     SequenceStrategy,
@@ -171,16 +173,36 @@ def test_as_controller_converts_table_once():
             assert np.array_equal(ctrl.act(hist), table.act(hist))
 
 
-def test_table_controller_budget_guard():
+def test_large_table_stays_on_cursor_path():
     # every history to depth 4 over 3 actions and 3 signals: 2,461 memories,
-    # so a dense update of 2,461^2 x 9 entries is refused before it is built
+    # past MAX_TABLE_MEMORIES, so the table keeps its cursor routes
+    rng = np.random.default_rng(5)
+    model = make_model([f"w{i}" for i in range(4)], ["a0", "a1", "a2"],
+                       ["s0", "s1", "s2"], [0, 1, 2, 0], rng.uniform(0, 1, (4, 3)),
+                       rng.uniform(0.1, 1.0, (4, 3, 4)), np.ones(4), normalize=True)
     hists = [History(s) for s in range(3)]
     table = {}
     for _ in range(4):
-        table.update({hist: [1.0, 0.0, 0.0] for hist in hists})
+        table.update({hist: rng.dirichlet(np.ones(3)) for hist in hists})
         hists = [h.child(a, s) for h in hists for a in range(3) for s in range(3)]
-    with pytest.raises(BudgetExceeded):
-        as_controller(TableStrategy(3, 4, table), 3)
+    table = TableStrategy(3, 4, table)
+    assert len(table.table) > MAX_TABLE_MEMORIES
+    # a chain of n keys has n + 1 memories with the absorbing one
+    for n, converts in ((MAX_TABLE_MEMORIES - 1, True), (MAX_TABLE_MEMORIES, False)):
+        chain = TableStrategy(3, n, {History(0, ((0, 0),) * i): [1.0, 0.0, 0.0]
+                                     for i in range(n)})
+        assert (as_controller(chain, 3) is not None) == converts
+    assert as_controller(table, 3) is None and table.memory_form(3) is None
+    # the table and an opaque wrapper draw the same cursor stream
+    sim = longrun_average_mc(model, table, 0.5, 200, 20, 3)
+    opaque_sim = longrun_average_mc(model, _Opaque(table), 0.5, 200, 20, 3)
+    assert (sim.value, sim.std_error) == (opaque_sim.value, opaque_sim.std_error)
+    assert discounted_payoff(model, table, 0.5, 0.5).mode == "truncated"
+    mimic = build_mimic_strategy(model, table, 0.5)
+    assert mimic.engine is None
+    hist = History(0).child(1, 2)
+    opaque_mimic = build_mimic_strategy(model, _Opaque(table), 0.5)
+    assert np.array_equal(mimic.act(hist), opaque_mimic.act(hist))
 
 
 def test_controller_rejects_init_memory_shape():

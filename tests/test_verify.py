@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stagepomdp.errors import GapBoundViolated, NotFullyObserved
 from stagepomdp import verify
 from stagepomdp.evaluate import longrun_average_exact_fsc
-from stagepomdp.mimic import build_filter_machine
+from stagepomdp.mimic import MERGE_ROUNDOFF, build_filter_machine
 from stagepomdp.model import is_fully_observed, make_model, validate_model
 from stagepomdp.strategies import History, SequenceStrategy, Strategy, TableStrategy
 from stagepomdp.verify import (
@@ -246,10 +246,30 @@ def test_theorem_merged_machine_takes_monte_carlo(monkeypatch):
     m = random_pomdp_model()
     coarse = partial(build_filter_machine, round_digits=3)
     machine = coarse(m, mixing_controller(m), 0.25)
-    assert machine is not None and machine.merge_defect > 0.0
+    assert machine is not None and machine.merge_defect > MERGE_ROUNDOFF
     monkeypatch.setattr(verify, "build_filter_machine", coarse)
     report = check_theorem_main(m, mixing_controller(m), 0.25)
     assert report.metadata["path"] == "monte_carlo"
+
+
+@pytest.mark.parametrize("model_fn", [figure1_model, random_pomdp_model])
+@pytest.mark.parametrize("h", [0.25, 0.5])
+def test_theorem_table_source_takes_exact_route(model_fn, h):
+    # a table's filters reach its absorbing memory through a posterior sum,
+    # so its machine merges filters one roundoff apart; that is still exact
+    m = model_fn()
+    hist1 = History(0)
+    table = TableStrategy(
+        2, 2,
+        {hist1: [0.9, 0.1], hist1.child(0, 0): [0.2, 0.8],
+         hist1.child(1, 0): [0.6, 0.4]},
+        default=[0.5, 0.5],
+    )
+    assert 0.0 < build_filter_machine(m, table, h).merge_defect <= MERGE_ROUNDOFF
+    report = check_theorem_main(m, table, h)
+    assert report.metadata["path"] == "exact"
+    assert report.passed
+    assert abs(report.quantities["difference"]) <= 1e-12
 
 
 def test_rescale_reduces_to_main_check():
