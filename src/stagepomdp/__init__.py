@@ -47,7 +47,6 @@ from .strategies import (
     Strategy,
     StrategyCursor,
     TableStrategy,
-    as_controller,
     exact_history_distribution,
     sequence_as_controller,
     uniform_action,

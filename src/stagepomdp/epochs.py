@@ -198,10 +198,11 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     ``epochs=k``, runs through its k-th epoch and at least ``max(sums_at)``
     stages, its k epoch lengths drawn first as in :func:`simulate_epochs_gh`.
 
-    A strategy with a hidden-memory form (``strategy.memory_form``) is
-    simulated for all plays at once: state and memory are arrays over the
-    plays and every draw is an inverse-CDF lookup.  Any other strategy plays
-    one trajectory at a time through its cursor, by :func:`simulate_gh` or
+    A strategy with a controller (``strategy.controller``: controllers,
+    sequences, tables and controller-source mimics) is simulated for all
+    plays at once: state and controller memory are arrays over the plays
+    and every draw is an inverse-CDF lookup.  An opaque strategy plays one
+    trajectory at a time through its cursor, by :func:`simulate_gh` or
     :func:`simulate_epochs_gh`, with their random stream.  The two paths
     draw different random streams under the same law.
     """
@@ -217,11 +218,11 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     if sums_at.size and sums_at.min() < 1:
         raise ValueError("payoff sums need at least one stage")
     rng = as_generator(seed_or_rng)
-    form = strategy.memory_form(model.n_signals)
-    if form is None:
+    controller = strategy.controller(model.n_signals)
+    if controller is None:
         return _cursor_plays(model, strategy, h, n_plays, rng, sums_at,
                              stage_weights, epochs, horizon)
-    return _batched_plays(model, form, h, n_plays, rng, sums_at,
+    return _batched_plays(model, controller, h, n_plays, rng, sums_at,
                           stage_weights, epochs, horizon)
 
 
@@ -252,14 +253,13 @@ def _cursor_plays(model, strategy, h, n_plays, rng, sums_at, stage_weights,
 
 
 def _cdf(probs):
-    """Cumulative rows whose last entry is exactly 1.
+    """Cumulative rows that are exactly 1 from their last positive entry on.
 
-    An inverse-CDF draw of u in [0, 1) then never runs past the last index,
-    whatever the roundoff of the cumulative sum.
+    An inverse-CDF draw of u in [0, 1) then never lands past the last
+    positive entry, whatever the roundoff of the cumulative sum.
     """
     cdf = np.cumsum(probs, axis=-1)
-    cdf[..., -1] = 1.0
-    return cdf
+    return np.where(cdf >= cdf[..., -1:], 1.0, cdf)
 
 
 def _draw(cdf_rows, u):
@@ -267,16 +267,16 @@ def _draw(cdf_rows, u):
     return (cdf_rows > u).argmax(axis=1)
 
 
-def _batched_plays(model, form, h, n_plays, rng, sums_at, stage_weights, k,
-                   horizon):
+def _batched_plays(model, controller, h, n_plays, rng, sums_at, stage_weights,
+                   k, horizon):
     rows = np.arange(n_plays)
     signal_map, payoff = model.signal_map, model.payoff
     # without pinned epochs a mark is a Bernoulli(h) draw independent of
     # the rest, so the duration-h kernel folds it into the transition draw
     kernel = model.transition if k else stage_duration_transform(model, h).transition
     transition_cdf = _cdf(kernel)
-    action_cdf = _cdf(form.action)
-    update_cdf = _cdf(form.update)
+    action_cdf = _cdf(controller.rule)
+    update_cdf = _cdf(controller.update)
     columns = {}
     for c, t in enumerate(sums_at.tolist()):
         columns.setdefault(t, []).append(c)
@@ -300,11 +300,10 @@ def _batched_plays(model, form, h, n_plays, rng, sums_at, stage_weights, k,
 
     init_cdf = np.broadcast_to(_cdf(model.init), (n_plays, model.n_states))
     state = _draw(init_cdf, rng.random((n_plays, 1)))
-    signal = signal_map[state]
-    memory = form.init_memory[signal]
+    memory = controller.init_memory[signal_map[state]]
     for j in range(n_stages):
         u = rng.random((4 if k else 3, n_plays, 1))
-        action = _draw(action_cdf[memory, signal], u[0])
+        action = _draw(action_cdf[memory], u[0])
         stage_payoff = payoff[state, action]
         if stage_weights is None:
             total += stage_payoff
@@ -325,9 +324,7 @@ def _batched_plays(model, form, h, n_plays, rng, sums_at, stage_weights, k,
             epoch += mark & ~free
             moved = np.where(mark, moved, state)
         state = moved
-        next_signal = signal_map[state]
-        memory = _draw(update_cdf[memory, signal, action, next_signal], u[2])
-        signal = next_signal
+        memory = _draw(update_cdf[memory, action, signal_map[state]], u[2])
     return PlayBatch(sums, bounds[:, :k + 1], epoch_states[:, :k],
                      epoch_actions[:, :k], epoch_sums[:, :k])
 

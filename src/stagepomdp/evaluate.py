@@ -36,7 +36,6 @@ from .strategies import (
     CursorEnumeration,
     FiniteStateController,
     Strategy,
-    as_controller,
 )
 
 DEFAULT_LAMBDA_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
@@ -201,14 +200,16 @@ def machine_product_chain(model: PomdpModel, machine: FilterMachine):
 
 
 def longrun_average_exact_fsc(model: PomdpModel, controller, h) -> PayoffEstimate:
-    """Exact long-run average payoff of a finite-state controller at duration h."""
+    """Exact long-run average payoff at duration h of a strategy with a
+    controller (:meth:`~stagepomdp.strategies.Strategy.controller`)."""
     h = validate_stage_duration(h)
-    controller = as_controller(controller, model.n_signals)
+    controller = controller.controller(model.n_signals)
     if controller is None:
         raise TypeError(
-            "exact long-run evaluation needs a finite-state controller, an "
-            "action sequence or a table of at most MAX_TABLE_MEMORIES "
-            "memories; use longrun_average_mc for other strategies"
+            "exact long-run evaluation needs a strategy with a controller: a "
+            "finite-state controller, an action sequence, a table of at most "
+            "MAX_TABLE_MEMORIES memories or a mimic of one of these; use "
+            "longrun_average_mc for other strategies"
         )
     chain, init, payoffs = controller_product_chain(model, controller, h)
     value = cesaro_average(chain, init, payoffs)
@@ -317,7 +318,7 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
     eff = lam * h
     meta = {"h": h, "lam": lam}
     if method == "exact":
-        controller = as_controller(strategy, model.n_signals)
+        controller = strategy.controller(model.n_signals)
         if controller is not None:
             value = _discounted_exact_controller(model, controller, lam, h)
             return PayoffEstimate(value, "exact", metadata=meta)

@@ -12,12 +12,14 @@ events it plays the fixed uniform fallback.
 
 Two exact routes are implemented:
 
-* controller sources (controllers, sequences and tables up to
-  ``MAX_TABLE_MEMORIES`` memories, see
-  :func:`~stagepomdp.strategies.as_controller`): the filtered forward
-  measure over (state, memory) factorizes into (state filter) x (memory
-  filter), epoch-length mixing is the closed-form geometric-series
-  operator, and there is no truncation;
+* controller sources (every strategy with a
+  :meth:`~stagepomdp.strategies.Strategy.controller`: controllers,
+  sequences, tables up to ``MAX_TABLE_MEMORIES`` memories and mimics of
+  these): the filtered forward measure over (state, memory) factorizes into
+  (state filter) x (memory filter), epoch-length mixing is the closed-form
+  geometric-series operator, and there is no truncation.  The mimic of such
+  a source is itself a finite controller of the base model
+  (:meth:`MimicStrategy.controller`);
 * opaque sources and larger tables: enumeration over epoch lengths and
   the intermediate actions inside each epoch, truncated at ``n_max``
   stages per epoch, on the shared
@@ -44,11 +46,9 @@ from .strategies import (
     ControllerCursor,
     CursorEnumeration,
     FiniteStateController,
-    HiddenMemoryForm,
     History,
     ReplayCursor,
     Strategy,
-    as_controller,
     uniform_action,
 )
 
@@ -61,10 +61,6 @@ DEFAULT_TAIL_MASS = 1e-9
 #: action probabilities below this are treated as structural zeros when
 #: enumerating filter-automaton edges
 EDGE_TOL = 1e-14
-
-#: filter-automaton merge defects up to this are floating-point roundoff
-#: (one filter reached by different arithmetic), not distinct filters merged
-MERGE_ROUNDOFF = 1e-12
 
 
 def default_truncation(h, tail=DEFAULT_TAIL_MASS):
@@ -300,34 +296,47 @@ class MimicStrategy(Strategy):
         self.source = source
         self.h = validate_stage_duration(h)
         self.n_actions = model.n_actions
-        controller = as_controller(source, model.n_signals)
+        controller = source.controller(model.n_signals)
         self.engine = (EpochOperatorEngine(model, controller, self.h)
                        if controller is not None else None)
         if n_max is None and self.engine is None:
             n_max = default_truncation(self.h)
         self.n_max = n_max
         self.budget = budget
+        self._controller = None
         self._memo = {}
         self._memo_lock = threading.Lock()
 
-    def memory_form(self, n_signals):
-        """Hidden-memory form of a controller-source mimic; None for an
-        opaque source.
+    def controller(self, n_signals):
+        """The mimic as a controller of the base model, built once; None for
+        an opaque source.
 
-        The memory is the source memory at the start of the current epoch.
-        From memory q under epoch signal s the boundary memory r has law
-        W_s[q], the action is drawn from rule[r], and the next epoch starts
-        from update[r, a, s'] with r drawn from its posterior given (q, a).
+        Memory q*S + s holds the source memory q at the start of the current
+        epoch and the epoch signal s, and plays W_s[q] @ rule.  After action
+        a and next signal s' it moves to (q', s'), q' drawn from
+        update[r, a, s'] with the boundary memory r drawn from its posterior
+        given (q, s, a); a zero-probability action keeps a uniform posterior,
+        so its rows stay stochastic.  The epoch operator's roundoff below 0
+        is clipped.
         """
         if self.engine is None:
             return None
-        mixed, ctrl = self.engine.mixed, self.engine.controller
-        joint = np.einsum("sqr,ra->qsar", mixed, ctrl.rule)
-        action = joint.sum(axis=3)
-        posterior = np.divide(joint, action[..., None], out=np.zeros_like(joint),
-                              where=action[..., None] > 0.0)
-        update = np.einsum("qsar,rabz->qsabz", posterior, ctrl.update)
-        return HiddenMemoryForm(ctrl.init_memory, action, update)
+        if self._controller is None:
+            ctrl = self.engine.controller
+            n_q, n_s = ctrl.n_memory, self.model.n_signals
+            mixed = np.clip(self.engine.mixed, 0.0, None)
+            joint = np.einsum("sqr,ra->qsar", mixed, ctrl.rule)
+            rule = joint.sum(axis=3)
+            posterior = np.divide(joint, rule[..., None],
+                                  out=np.full_like(joint, 1.0 / n_q),
+                                  where=rule[..., None] > 0.0)
+            moved = np.einsum("qsar,rabz->qsabz", posterior, ctrl.update)
+            update = np.einsum("qsabz,bc->qsabzc", moved, np.eye(n_s))
+            self._controller = FiniteStateController(
+                ctrl.init_memory * n_s + np.arange(n_s),
+                rule.reshape(n_q * n_s, -1),
+                update.reshape(n_q * n_s, self.n_actions, n_s, n_q * n_s))
+        return self._controller
 
     def filtered_joint(self, fil: FilteredHistory):
         """``(joint, bound)`` of the source at ``fil``: the closed-form route
@@ -355,13 +364,12 @@ class MimicStrategy(Strategy):
         return weights
 
     def start(self, first_signal):
-        """A controller source's cursor holds the law of its memory at the
-        current epoch's boundary and mixes it over each new epoch."""
-        if self.engine is None:
+        """The cursor of the mimic's controller, or a replay cursor for an
+        opaque source."""
+        controller = self.controller(self.model.n_signals)
+        if controller is None:
             return ReplayCursor(self, History(first_signal))
-        mixed = self.engine.mixed
-        belief = self.engine.controller.start(first_signal).belief @ mixed[first_signal]
-        return ControllerCursor(self.engine.controller, belief, mixed)
+        return controller.start(first_signal)
 
 
 def build_mimic_strategy(model: PomdpModel, source: Strategy, h, n_max=None,
@@ -383,8 +391,7 @@ class FilterMachine:
     ``update`` the one-hot edges (edges on zero-probability actions point
     at node 0).  ``merge_defect`` is the largest filter distance collapsed
     by the rounding dedup plus any action mass dropped below the edge
-    tolerance; up to ``MERGE_ROUNDOFF`` the automaton is exact but for
-    roundoff.
+    tolerance.
     """
 
     controller: FiniteStateController
@@ -402,7 +409,7 @@ def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
     Returns None when the source is not controller-representable or the
     reachable filter set does not close within ``max_nodes``.
     """
-    controller = as_controller(source, model.n_signals)
+    controller = source.controller(model.n_signals)
     if controller is None:
         return None
     engine = EpochOperatorEngine(model, controller, validate_stage_duration(h))

@@ -4,14 +4,15 @@ A history is the observable record (s1, a1, s2, ..., a_{t-1}, s_t); a
 strategy maps every history to a mixed action.  Strategies are immutable
 and ``act`` is pure; all randomness lives in trajectory sampling.
 
-Controllers, action sequences and depth-bounded tables of at most
-``MAX_TABLE_MEMORIES`` memories are all finite controllers
-(:func:`as_controller`), which the exact and batched routes use.  Any
-other strategy, and any larger table, is opaque: it is only known through a
-:class:`StrategyCursor`, an immutable stepper whose ``merge_key`` is equal
-for two cursors only when they behave identically on every continuation.
-:class:`CursorEnumeration` enumerates such cursors forward one stage at a
-time, merging (mass-summing) branches with equal keys.
+Controllers, action sequences, depth-bounded tables of at most
+``MAX_TABLE_MEMORIES`` memories and mimics of any of these are all finite
+controllers (:meth:`Strategy.controller`), which the exact and batched
+routes use.  Any other strategy, and any larger table, is opaque: it is
+only known through a :class:`StrategyCursor`, an immutable stepper whose
+``merge_key`` is equal for two cursors only when they behave identically on
+every continuation.  :class:`CursorEnumeration` enumerates such cursors
+forward one stage at a time, merging (mass-summing) branches with equal
+keys.
 """
 
 from __future__ import annotations
@@ -58,22 +59,6 @@ def uniform_action(n_actions):
     return np.full(n_actions, 1.0 / n_actions)
 
 
-@dataclass(frozen=True)
-class HiddenMemoryForm:
-    """A strategy as a table-driven random memory, for batched simulation.
-
-    After first signal s the memory is ``init_memory[s]``; in memory q under
-    current signal s the strategy plays ``action[q, s]``, and after playing
-    a and observing s' the next memory is drawn from ``update[q, s, a, s']``.
-    Sampling the memory gives the same law of play as tracking the
-    posterior over it, which is what the strategy's cursor does.
-    """
-
-    init_memory: np.ndarray   # (signals,)
-    action: np.ndarray        # (memories, signals, actions)
-    update: np.ndarray        # (memories, signals, actions, signals, memories)
-
-
 class StrategyCursor(abc.ABC):
     """Immutable walker along one history; ``step`` returns a new cursor."""
 
@@ -115,11 +100,10 @@ class Strategy(abc.ABC):
     def start(self, first_signal) -> StrategyCursor:
         """Open a cursor at the length-1 history with the given signal."""
 
-    def memory_form(self, n_signals) -> HiddenMemoryForm | None:
-        """The strategy's hidden-memory form over ``n_signals`` signals, or
-        None when it has none."""
-        controller = as_controller(self, n_signals)
-        return None if controller is None else controller.memory_form(n_signals)
+    def controller(self, n_signals) -> "FiniteStateController | None":
+        """The strategy as a controller over ``n_signals`` signals, or None
+        when it is opaque."""
+        return None
 
     def act(self, history: History) -> np.ndarray:
         cursor = self.start(history.first_signal)
@@ -170,6 +154,9 @@ class SequenceStrategy(Strategy):
 
     def start(self, first_signal):
         return _SequenceCursor(self, 0)
+
+    def controller(self, n_signals):
+        return sequence_as_controller(self, n_signals)
 
     def act(self, history):
         return self.actions[(history.length - 1) % len(self.actions)]
@@ -254,17 +241,14 @@ class ControllerCursor(StrategyCursor):
 
     The posterior reweights by the probability the controller would have
     produced each observed action; a zero normalizer (history the
-    controller cannot generate) degenerates to the uniform fallback.  With
-    ``mixed`` given, each new belief is mixed by ``mixed[signal]``, as a
-    mimic's memory filter is over an epoch (see ``mimic.MimicStrategy``).
+    controller cannot generate) degenerates to the uniform fallback.
     """
 
-    __slots__ = ("controller", "belief", "mixed")
+    __slots__ = ("controller", "belief")
 
-    def __init__(self, controller, belief, mixed=None):
+    def __init__(self, controller, belief):
         self.controller = controller
         self.belief = belief  # None marks the degenerate branch
-        self.mixed = mixed
 
     def action_distribution(self):
         if self.belief is None:
@@ -280,9 +264,7 @@ class ControllerCursor(StrategyCursor):
             return ControllerCursor(self.controller, None)
         posterior = weighted / total
         belief = posterior @ self.controller.update[:, action, signal, :]
-        if self.mixed is not None:
-            belief = belief @ self.mixed[signal]
-        return ControllerCursor(self.controller, belief, self.mixed)
+        return ControllerCursor(self.controller, belief)
 
     def merge_key(self):
         if self.belief is None:
@@ -331,13 +313,8 @@ class FiniteStateController(Strategy):
         belief[self.init_memory[first_signal]] = 1.0
         return ControllerCursor(self, belief)
 
-    def memory_form(self, n_signals):
-        n_q, n_a, n_s = self.n_memory, self.n_actions, self.n_signals
-        return HiddenMemoryForm(
-            self.init_memory,
-            np.broadcast_to(self.rule[:, None, :], (n_q, n_s, n_a)),
-            np.broadcast_to(self.update[:, None], (n_q, n_s, n_a, n_s, n_q)),
-        )
+    def controller(self, n_signals):
+        return self
 
 
 def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateController:
@@ -350,20 +327,6 @@ def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateContr
         update[q, :, :, (q + 1) % period] = 1.0
     init_memory = np.zeros(n_signals, dtype=np.int64)
     return FiniteStateController(init_memory, rule, update)
-
-
-def as_controller(strategy: Strategy, n_signals) -> FiniteStateController | None:
-    """The strategy as a controller over ``n_signals`` signals: controllers as
-    they are, sequences through :func:`sequence_as_controller`, tables of at
-    most ``MAX_TABLE_MEMORIES`` memories through :meth:`TableStrategy.controller`,
-    None for any other strategy."""
-    if isinstance(strategy, FiniteStateController):
-        return strategy
-    if isinstance(strategy, SequenceStrategy):
-        return sequence_as_controller(strategy, n_signals)
-    if isinstance(strategy, TableStrategy):
-        return strategy.controller(n_signals)
-    return None
 
 
 class CursorEnumeration:

@@ -21,9 +21,8 @@ from .evaluate import (
     asymptotic_value_estimate,
     discounted_value_estimate,
     longrun_average_exact_fsc,
-    longrun_average_mc,
 )
-from .mimic import MERGE_ROUNDOFF, build_filter_machine, build_mimic_strategy
+from .mimic import build_mimic_strategy
 from .model import (
     PomdpModel,
     is_fully_observed,
@@ -174,8 +173,7 @@ def mixing_controller(model: PomdpModel) -> FiniteStateController:
     """Two-memory controller with mixed rules and a flip update.
 
     Mixed rules keep the mimic memory filter strictly inside the simplex,
-    so its reachable set does not close and the Monte Carlo route of the
-    payoff-identity check is exercised.
+    so its reachable set does not close into a filter machine.
     """
     n_a, n_s = model.n_actions, model.n_signals
     rule = np.zeros((2, n_a))
@@ -339,44 +337,26 @@ def check_liminf_subsequence(seq, indices, gap_bound, tolerance,
 
 # --- payoff-identity checks ---------------------------------------------------
 
-def check_theorem_main(model: PomdpModel, controller, h, *, rng_seed=0,
-                       n_traj=150, horizon=6000, machine_nodes=600
-                       ) -> CheckReport:
+def check_theorem_main(model: PomdpModel, controller, h) -> CheckReport:
     """Long-run average of a controller at duration h vs its mimic at duration 1.
 
-    The left side is the exact product-chain average.  The right side
-    evaluates the mimic strategy in the base model: exactly, whenever the
-    mimic's memory-filter dynamics close into a finite automaton whose merge
-    defect is roundoff (``mimic.MERGE_ROUNDOFF``), otherwise by simulation
-    (tolerance 3 standard errors).
+    Both sides are exact product-chain averages: the source's at duration h
+    and, in the base model, the mimic's, which is itself a finite controller
+    (:meth:`~stagepomdp.mimic.MimicStrategy.controller`).
     """
     h = validate_stage_duration(h)
     lhs = longrun_average_exact_fsc(model, controller, h).value
-    machine = build_filter_machine(model, controller, h, max_nodes=machine_nodes)
-    if machine is not None and machine.merge_defect <= MERGE_ROUNDOFF:
-        rhs = longrun_average_exact_fsc(model, machine.controller, 1.0).value
-        tolerance = 1e-6
-        metadata = {"path": "exact", "machine_nodes": machine.n_nodes,
-                    "machine_defect": machine.merge_defect, "h": h}
-    else:
-        mimic = build_mimic_strategy(model, controller, h)
-        estimate = longrun_average_mc(
-            model, mimic, 1.0, horizon, n_traj, worker_rng(rng_seed, 9)
-        )
-        rhs = estimate.value
-        tolerance = 3.0 * max(estimate.std_error, 1e-12)
-        metadata = {"path": "monte_carlo", "n_traj": n_traj, "horizon": horizon,
-                    "seed": rng_seed, "std_error": estimate.std_error, "h": h}
-    return _abs_report(f"main_identity[h={h}]", lhs, rhs, tolerance,
-                       metadata=metadata)
+    mimic = build_mimic_strategy(model, controller, h)
+    rhs = longrun_average_exact_fsc(model, mimic, 1.0).value
+    return _abs_report(f"main_identity[h={h}]", lhs, rhs, 1e-6,
+                       metadata={"path": "exact", "h": h})
 
 
-def check_corollary_rescale(model: PomdpModel, controller, h1, h2,
-                            **kwargs) -> CheckReport:
+def check_corollary_rescale(model: PomdpModel, controller, h1, h2) -> CheckReport:
     """Mimicking between durations h1 < h2 via the rebasing identity."""
     m_h1 = stage_duration_transform(model, h1)
     rebased, relative = rescale_stage_duration(m_h1, h1, h2)
-    report = check_theorem_main(rebased, controller, relative, **kwargs)
+    report = check_theorem_main(rebased, controller, relative)
     return CheckReport(
         name=f"rescale_identity[h1={h1},h2={h2}]",
         quantities=report.quantities,
@@ -524,19 +504,16 @@ def _theorem_suite(seed):
         for cname, ctrl in (("alternating", alternating_controller(model)),
                             ("uniform", uniform_controller(model))):
             for h in (0.25, 0.5):
-                rep = check_theorem_main(model, ctrl, h, rng_seed=seed)
+                rep = check_theorem_main(model, ctrl, h)
                 reports.append(_rename(rep, f"{label}:{cname}:{rep.name}"))
     rand = random_pomdp_model()
     for h in (0.25, 0.5):
-        rep = check_theorem_main(rand, mixing_controller(rand), h,
-                                 rng_seed=seed, n_traj=150, horizon=6000)
+        rep = check_theorem_main(rand, mixing_controller(rand), h)
         reports.append(_rename(rep, f"random_pomdp:mixing:{rep.name}"))
     fig1 = figure1_model()
-    rep = check_corollary_rescale(fig1, alternating_controller(fig1), 0.25, 0.5,
-                                  rng_seed=seed)
+    rep = check_corollary_rescale(fig1, alternating_controller(fig1), 0.25, 0.5)
     reports.append(_rename(rep, f"figure1:alternating:{rep.name}"))
-    rep = check_corollary_rescale(rand, uniform_controller(rand), 0.25, 0.5,
-                                  rng_seed=seed)
+    rep = check_corollary_rescale(rand, uniform_controller(rand), 0.25, 0.5)
     reports.append(_rename(rep, f"random_pomdp:uniform:{rep.name}"))
     return reports
 

@@ -269,11 +269,10 @@ def test_c09_payoff_identity_end_to_end():
     for model in (figure1_model(), random_pomdp_model()):
         for ctrl in (alternating_controller(model), uniform_controller(model)):
             for h in (0.25, 0.5):
-                reports.append(check_theorem_main(model, ctrl, h, rng_seed=0))
+                reports.append(check_theorem_main(model, ctrl, h))
     rand = random_pomdp_model()
     for h in (0.25, 0.5):
-        reports.append(check_theorem_main(rand, mixing_controller(rand), h,
-                                          rng_seed=0))
+        reports.append(check_theorem_main(rand, mixing_controller(rand), h))
     ok = all(r.passed for r in reports)
     paths = {r.metadata["path"] for r in reports}
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from stagepomdp import evaluate, strategies
+from stagepomdp import evaluate
 from stagepomdp.verify import random_pomdp_model
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -45,7 +45,5 @@ def test_enumerated_jobs_stay_on_the_enumeration_route():
     pomdp = random_pomdp_model()
     table = models.table_source(np.random.default_rng(0), pomdp, 2).strategy
     opaque = models.OpaqueStrategy(table, models.VisitCounter())
-    assert strategies.as_controller(opaque, pomdp.n_signals) is None
-    assert opaque.memory_form(pomdp.n_signals) is None
-    assert strategies.as_controller(table, pomdp.n_signals) is not None
-    assert table.memory_form(pomdp.n_signals) is not None
+    assert opaque.controller(pomdp.n_signals) is None
+    assert table.controller(pomdp.n_signals) is not None

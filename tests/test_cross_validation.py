@@ -183,8 +183,7 @@ def test_theorem_pipeline_three_actions():
 
     model = three_action_model()
     for ctrl in (uniform_controller(model), mixing_controller(model)):
-        report = check_theorem_main(model, ctrl, 0.4, rng_seed=3,
-                                    n_traj=120, horizon=4000)
+        report = check_theorem_main(model, ctrl, 0.4)
         assert report.passed, report
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from stagepomdp.epochs import (
+    _cdf,
+    _draw,
     epoch_memory_operator,
     geometric_tail,
     sample_epochs,
@@ -260,7 +262,7 @@ CURSOR_VALUES = {
 def test_cursor_path_stream_unchanged(name):
     m = random_pomdp_model()
     strategy = Opaque(mixing_controller(m))
-    assert strategy.memory_form(m.n_signals) is None
+    assert strategy.controller(m.n_signals) is None
     longrun = longrun_average_mc(m, strategy, 0.5, horizon=60, n_traj=12,
                                  seed_or_rng=worker_rng(31, 0))
     disc = discounted_payoff(m, strategy, 0.4, 0.5, method="mc", tol=1e-6,
@@ -272,13 +274,25 @@ def test_cursor_path_stream_unchanged(name):
     assert got == CURSOR_VALUES[name]
 
 
-def test_table_source_mimic_has_memory_form():
+def test_table_source_mimic_has_controller():
     m = random_pomdp_model()
-    assert small_table().memory_form(m.n_signals) is not None
+    assert small_table().controller(m.n_signals) is not None
     table_mimic = build_mimic_strategy(m, small_table(), 0.5)
-    assert table_mimic.memory_form(m.n_signals) is not None
+    assert table_mimic.controller(m.n_signals) is not None
     opaque_mimic = build_mimic_strategy(m, Opaque(small_table()), 0.5)
-    assert opaque_mimic.memory_form(m.n_signals) is None
+    assert opaque_mimic.controller(m.n_signals) is None
+
+
+def test_draw_never_lands_on_zero_probability_tail():
+    # ten 0.1s sum to just below 1, so a uniform just below 1 (which
+    # rng.random() can return) would pass the last positive entry
+    top = np.array([[np.nextafter(1.0, 0.0)]])
+    for row, last, first in (([0.1] * 10 + [0.0], 9, 0),
+                             ([0.2, 0.0, 0.8, 0.0], 2, 0),
+                             ([0.0, 0.5, 0.5, 0.0], 2, 1)):
+        cdf = _cdf(np.array([row]))
+        assert _draw(cdf, top)[0] == last
+        assert _draw(cdf, np.zeros((1, 1)))[0] == first
 
 
 def test_batched_rejects_empty_horizon():

@@ -185,10 +185,9 @@ def test_operator_and_enumeration_routes_agree():
             assert np.max(np.abs(exact_joint - enum_joint)) <= bound + 1e-10
 
 
-def random_table_case(seed, n_states, n_actions, n_signals, depth):
-    """A small random model with sparse transitions and a random table on it,
-    some of whose entries are pure."""
-    rng = np.random.default_rng(seed)
+def random_sparse_model(rng, n_states, n_actions, n_signals):
+    """A small random model with sparse transitions and at most ``n_states``
+    signals."""
     n_signals = min(n_signals, n_states)
     raw = rng.uniform(0.1, 1.0, (n_states, n_actions, n_states))
     raw *= rng.random(raw.shape) < 0.6
@@ -202,6 +201,15 @@ def random_table_case(seed, n_states, n_actions, n_signals, depth):
                        [f"s{i}" for i in range(n_signals)], signal_map,
                        rng.uniform(-1.0, 1.0, (n_states, n_actions)),
                        raw, init, normalize=True)
+    return model
+
+
+def random_table_case(seed, n_states, n_actions, n_signals, depth):
+    """A small random model with sparse transitions and a random table on it,
+    some of whose entries are pure."""
+    rng = np.random.default_rng(seed)
+    model = random_sparse_model(rng, n_states, n_actions, n_signals)
+    n_signals = model.n_signals
     hists = [History(s) for s in range(n_signals)]
     table = {}
     for _ in range(depth):
@@ -236,6 +244,81 @@ def test_table_closed_form_matches_enumeration(seed, n_states, n_actions,
     truncated = discounted_payoff(model, Opaque(table), 0.5, h)
     assert (closed.mode, truncated.mode) == ("exact", "truncated")
     assert abs(closed.value - truncated.value) <= truncated.bound + 1e-12
+
+
+def random_controller_case(seed, n_states, n_actions, n_signals, n_memory):
+    """A small random model with sparse transitions and a random controller on
+    it with sparse rules and updates."""
+    rng = np.random.default_rng(seed)
+    model = random_sparse_model(rng, n_states, n_actions, n_signals)
+    shape = (n_memory, n_actions, model.n_signals, n_memory)
+    rule = rng.uniform(0.0, 1.0, (n_memory, n_actions))
+    rule *= rng.random(rule.shape) < 0.6
+    rule += 0.2 * (np.arange(n_actions) == rng.integers(n_actions, size=(n_memory, 1)))
+    update = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
+    update += 0.2 * (np.arange(n_memory) == rng.integers(n_memory, size=shape[:3] + (1,)))
+    ctrl = FiniteStateController(rng.integers(n_memory, size=model.n_signals),
+                                 rule / rule.sum(axis=1, keepdims=True),
+                                 update / update.sum(axis=3, keepdims=True))
+    return model, ctrl
+
+
+def depth_two_table(model):
+    """Table with a fixed mixed action at every history of length <= 2."""
+    hists = [History(s) for s in range(model.n_signals)]
+    hists += [hist.child(a, s) for hist in hists
+              for a in range(model.n_actions) for s in range(model.n_signals)]
+    table = {}
+    for i, hist in enumerate(hists):
+        weights = np.roll(np.linspace(1.0, 2.0, model.n_actions) ** i, i)
+        table[hist] = weights / weights.sum()
+    return TableStrategy(model.n_actions, 2, table, default=np.eye(model.n_actions)[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4),
+       n_actions=st.integers(1, 3), n_signals=st.integers(1, 2),
+       n_memory=st.integers(1, 3), h=st.sampled_from([0.3, 0.5, 1.0]))
+def test_paper_identity_for_random_controllers(seed, n_states, n_actions,
+                                               n_signals, n_memory, h):
+    # the paper's main theorem: the mimic, played in the base model, earns
+    # the source's duration-h long-run average
+    model, ctrl = random_controller_case(seed, n_states, n_actions, n_signals,
+                                         n_memory)
+    mimic = build_mimic_strategy(model, ctrl, h)
+    source_avg = longrun_average_exact_fsc(model, ctrl, h).value
+    mimic_avg = longrun_average_exact_fsc(model, mimic, 1.0).value
+    assert abs(mimic_avg - source_avg) <= 1e-12
+
+
+@pytest.mark.parametrize("model_fn", [figure1_model, random_pomdp_model])
+@pytest.mark.parametrize("source_fn", [mixing_controller, depth_two_table])
+@pytest.mark.parametrize("h", [0.3, 0.5])
+def test_mimic_controller_plays_the_mimic(model_fn, source_fn, h):
+    # the mimic's own act (its filtered joint) and its controller's cursor
+    # are independent routes to the same strategy
+    m = model_fn()
+    mimic = build_mimic_strategy(m, source_fn(m), h)
+    ctrl = mimic.controller(m.n_signals)
+    for depth in (1, 2, 3, 4):
+        by_mimic = exact_history_distribution(m, mimic, depth)
+        by_ctrl = exact_history_distribution(m, ctrl, depth)
+        for key in by_mimic.keys() | by_ctrl.keys():
+            assert abs(by_mimic.get(key, 0.0) - by_ctrl.get(key, 0.0)) <= 1e-12
+        for hist, _ in by_mimic:
+            assert np.max(np.abs(mimic.act(hist) - ctrl.act(hist))) <= 1e-12
+
+
+def test_mixing_mimic_payoffs_are_exact():
+    # this mimic's filters never close, so enumerating its cursors ran out
+    # of any budget; its controller gives the payoff by one solve
+    m = random_pomdp_model()
+    mimic = build_mimic_strategy(m, mixing_controller(m), 0.3)
+    exact = discounted_payoff(m, mimic, 0.5, 1.0, budget=20_000)
+    assert exact.mode == "exact"
+    mc = discounted_payoff(m, mimic, 0.5, 1.0, method="mc")
+    assert abs(exact.value - mc.value) <= 4.0 * mc.std_error
+    assert longrun_average_exact_fsc(m, mimic, 1.0).mode == "exact"
 
 
 # --- identity at h = 1 --------------------------------------------------------------
@@ -409,18 +492,6 @@ def test_machine_closes_for_alternating():
     ctrl = machine.controller
     start = ctrl.init_memory[0]
     assert ctrl.rule[start] == pytest.approx(mimic.act(History(0)))
-
-
-def depth_two_table(model):
-    """Table with a fixed mixed action at every history of length <= 2."""
-    hists = [History(s) for s in range(model.n_signals)]
-    hists += [hist.child(a, s) for hist in hists
-              for a in range(model.n_actions) for s in range(model.n_signals)]
-    table = {}
-    for i, hist in enumerate(hists):
-        weights = np.roll(np.linspace(1.0, 2.0, model.n_actions) ** i, i)
-        table[hist] = weights / weights.sum()
-    return TableStrategy(model.n_actions, 2, table, default=np.eye(model.n_actions)[0])
 
 
 @pytest.mark.parametrize("model_fn", [figure1_model, random_pomdp_model])

@@ -15,7 +15,6 @@ from stagepomdp.strategies import (
     SequenceStrategy,
     Strategy,
     TableStrategy,
-    as_controller,
     exact_history_distribution,
     sequence_as_controller,
     uniform_action,
@@ -133,24 +132,30 @@ class _Opaque(Strategy):
 
 def test_as_controller_returns_controller_itself():
     ctrl = FiniteStateController([0], [[0.5, 0.5]], np.ones((1, 2, 1, 1)))
-    assert as_controller(ctrl, 1) is ctrl
+    assert ctrl.controller(1) is ctrl
 
 
 def test_as_controller_converts_sequence():
     model = random_pomdp_model()
     seq = SequenceStrategy([np.array([0.3, 0.7]), np.array([0.6, 0.4])])
-    ctrl = as_controller(seq, model.n_signals)
+    ctrl = seq.controller(model.n_signals)
     assert isinstance(ctrl, FiniteStateController)
     for hist in all_histories(model, 3):
         assert np.allclose(ctrl.act(hist), seq.act(hist), atol=1e-14)
 
 
 def test_as_controller_none_for_other_strategies():
+    # opaque strategies and mimics of opaque sources have no controller; the
+    # mimic of a controller source is one, built once
     model = figure1_model()
     opaque = _Opaque(SequenceStrategy.pure([0, 1], 2))
+    opaque_mimic = build_mimic_strategy(model, opaque, 0.5)
+    for strategy in (opaque, opaque_mimic):
+        assert strategy.controller(model.n_signals) is None
     mimic = build_mimic_strategy(model, alternating_controller(model), 0.5)
-    for strategy in (opaque, mimic):
-        assert as_controller(strategy, model.n_signals) is None
+    ctrl = mimic.controller(model.n_signals)
+    assert isinstance(ctrl, FiniteStateController)
+    assert mimic.controller(model.n_signals) is ctrl
 
 
 def test_as_controller_converts_table_once():
@@ -161,9 +166,9 @@ def test_as_controller_converts_table_once():
         hist1.child(0, 0).child(1, 1): [0.2, 0.8],   # prefix hist1.child(0, 0) unset
         History(0, ((1, 1), (1, 0), (0, 0))): [0.0, 1.0],   # past the depth
     }, default=[0.35, 0.65])
-    ctrl = as_controller(table, model.n_signals)
+    ctrl = table.controller(model.n_signals)
     assert isinstance(ctrl, FiniteStateController)
-    assert as_controller(table, model.n_signals) is ctrl
+    assert table.controller(model.n_signals) is ctrl
     # memories: hist1, its child and grandchild, and the absorbing default
     assert ctrl.n_memory == 4
     # every history is reachable (no action has probability 0 along it), so
@@ -191,8 +196,8 @@ def test_large_table_stays_on_cursor_path():
     for n, converts in ((MAX_TABLE_MEMORIES - 1, True), (MAX_TABLE_MEMORIES, False)):
         chain = TableStrategy(3, n, {History(0, ((0, 0),) * i): [1.0, 0.0, 0.0]
                                      for i in range(n)})
-        assert (as_controller(chain, 3) is not None) == converts
-    assert as_controller(table, 3) is None and table.memory_form(3) is None
+        assert (chain.controller(3) is not None) == converts
+    assert table.controller(3) is None
     # the table and an opaque wrapper draw the same cursor stream
     sim = longrun_average_mc(model, table, 0.5, 200, 20, 3)
     opaque_sim = longrun_average_mc(model, _Opaque(table), 0.5, 200, 20, 3)

@@ -1,13 +1,12 @@
-from functools import partial
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stagepomdp.errors import GapBoundViolated, NotFullyObserved
-from stagepomdp import verify
 from stagepomdp.evaluate import longrun_average_exact_fsc
-from stagepomdp.mimic import MERGE_ROUNDOFF, build_filter_machine
 from stagepomdp.model import is_fully_observed, make_model, validate_model
 from stagepomdp.strategies import History, SequenceStrategy, Strategy, TableStrategy
 from stagepomdp.verify import (
@@ -23,12 +22,13 @@ from stagepomdp.verify import (
     figure1_model,
     fully_observed_model,
     liminf_trailing,
-    mixing_controller,
     random_pomdp_model,
     render_report,
     run_suite,
     uniform_controller,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def constant_model(c=0.42):
@@ -240,23 +240,9 @@ def test_theorem_figure1_both_zero():
     assert report.quantities["rhs"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_theorem_merged_machine_takes_monte_carlo(monkeypatch):
-    # a machine that merged filters by rounding is not exact, so the check
-    # must not judge it at the exact route's fixed tolerance
-    m = random_pomdp_model()
-    coarse = partial(build_filter_machine, round_digits=3)
-    machine = coarse(m, mixing_controller(m), 0.25)
-    assert machine is not None and machine.merge_defect > MERGE_ROUNDOFF
-    monkeypatch.setattr(verify, "build_filter_machine", coarse)
-    report = check_theorem_main(m, mixing_controller(m), 0.25)
-    assert report.metadata["path"] == "monte_carlo"
-
-
 @pytest.mark.parametrize("model_fn", [figure1_model, random_pomdp_model])
 @pytest.mark.parametrize("h", [0.25, 0.5])
 def test_theorem_table_source_takes_exact_route(model_fn, h):
-    # a table's filters reach its absorbing memory through a posterior sum,
-    # so its machine merges filters one roundoff apart; that is still exact
     m = model_fn()
     hist1 = History(0)
     table = TableStrategy(
@@ -265,7 +251,6 @@ def test_theorem_table_source_takes_exact_route(model_fn, h):
          hist1.child(1, 0): [0.6, 0.4]},
         default=[0.5, 0.5],
     )
-    assert 0.0 < build_filter_machine(m, table, h).merge_defect <= MERGE_ROUNDOFF
     report = check_theorem_main(m, table, h)
     assert report.metadata["path"] == "exact"
     assert report.passed
@@ -319,3 +304,9 @@ def test_full_suite_passes_with_default_seed():
     failed = [r.name for r in reports if not r.passed]
     assert not failed, failed
     assert len(reports) >= 50
+    # every report that draws no random numbers keeps its quantities exactly
+    golden = json.loads((GOLDEN / "verify_quantities_seed0.json").read_text())
+    got = [{"name": r.name, "quantities": r.quantities} for r in reports
+           if not r.name.split(":")[-1].startswith(("epoch_sum_lemma",
+                                                     "cesaro_alignment"))]
+    assert got == golden
