@@ -47,6 +47,7 @@ from .strategies import (
     Strategy,
     StrategyCursor,
     TableStrategy,
+    controller_for,
     exact_history_distribution,
     sequence_as_controller,
     uniform_action,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularSystem
 from .model import PomdpModel, stage_duration_transform, validate_stage_duration
-from .strategies import Strategy
+from .strategies import Strategy, controller_for
 
 #: residual tolerance for the epoch-operator linear solve
 OPERATOR_RESIDUAL_TOL = 1e-10
@@ -218,7 +218,7 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     if sums_at.size and sums_at.min() < 1:
         raise ValueError("payoff sums need at least one stage")
     rng = as_generator(seed_or_rng)
-    controller = strategy.controller(model.n_signals)
+    controller = controller_for(model, strategy)
     if controller is None:
         return _cursor_plays(model, strategy, h, n_plays, rng, sums_at,
                              stage_weights, epochs, horizon)

@@ -36,6 +36,7 @@ from .strategies import (
     CursorEnumeration,
     FiniteStateController,
     Strategy,
+    controller_for,
 )
 
 DEFAULT_LAMBDA_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
@@ -203,7 +204,7 @@ def longrun_average_exact_fsc(model: PomdpModel, controller, h) -> PayoffEstimat
     """Exact long-run average payoff at duration h of a strategy with a
     controller (:meth:`~stagepomdp.strategies.Strategy.controller`)."""
     h = validate_stage_duration(h)
-    controller = controller.controller(model.n_signals)
+    controller = controller_for(model, controller)
     if controller is None:
         raise TypeError(
             "exact long-run evaluation needs a strategy with a controller: a "
@@ -313,12 +314,10 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
     lam = float(lam)
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"lambda must be in (0, 1], got {lam!r}")
-    if lam * h > 1.0:
-        raise ValueError("lambda*h must be at most 1")
     eff = lam * h
     meta = {"h": h, "lam": lam}
     if method == "exact":
-        controller = strategy.controller(model.n_signals)
+        controller = controller_for(model, strategy)
         if controller is not None:
             value = _discounted_exact_controller(model, controller, lam, h)
             return PayoffEstimate(value, "exact", metadata=meta)

@@ -19,7 +19,8 @@ Two exact routes are implemented:
   (state filter) x (memory filter), epoch-length mixing is the closed-form
   geometric-series operator, and there is no truncation.  The mimic of such
   a source is itself a finite controller of the base model
-  (:meth:`MimicStrategy.controller`);
+  (:meth:`MimicStrategy.controller`, which :func:`build_filter_machine`
+  returns as a :class:`FilterMachine`);
 * opaque sources and larger tables: enumeration over epoch lengths and
   the intermediate actions inside each epoch, truncated at ``n_max``
   stages per epoch, on the shared
@@ -43,12 +44,12 @@ from .errors import (
 from .model import PomdpModel, validate_stage_duration
 from .strategies import (
     DEFAULT_ENUMERATION_BUDGET,
-    ControllerCursor,
     CursorEnumeration,
     FiniteStateController,
     History,
     ReplayCursor,
     Strategy,
+    controller_for,
     uniform_action,
 )
 
@@ -57,10 +58,6 @@ FilteredHistory = History
 
 #: per-epoch tail mass targeted by the default truncation level
 DEFAULT_TAIL_MASS = 1e-9
-
-#: action probabilities below this are treated as structural zeros when
-#: enumerating filter-automaton edges
-EDGE_TOL = 1e-14
 
 
 def default_truncation(h, tail=DEFAULT_TAIL_MASS):
@@ -142,10 +139,6 @@ class EpochOperatorEngine:
     """
 
     def __init__(self, model: PomdpModel, controller: FiniteStateController, h):
-        if controller.n_actions != model.n_actions:
-            raise ValueError("controller and model disagree on the action count")
-        if controller.n_signals != model.n_signals:
-            raise ValueError("controller and model disagree on the signal count")
         self.model = model
         self.controller = controller
         self.h = validate_stage_duration(h)
@@ -296,7 +289,7 @@ class MimicStrategy(Strategy):
         self.source = source
         self.h = validate_stage_duration(h)
         self.n_actions = model.n_actions
-        controller = source.controller(model.n_signals)
+        controller = controller_for(model, source)
         self.engine = (EpochOperatorEngine(model, controller, self.h)
                        if controller is not None else None)
         if n_max is None and self.engine is None:
@@ -382,84 +375,21 @@ def build_mimic_strategy(model: PomdpModel, source: Strategy, h, n_max=None,
 
 @dataclass(frozen=True)
 class FilterMachine:
-    """Finite automaton over reachable memory filters of a mimic strategy.
+    """The mimic of a controller source as a controller of the base model.
 
-    Exists only when the reachable set of (epoch signal, memory filter)
-    pairs closes finitely (always for single-memory or pure-rule sources).
-    The automaton is a controller of the base model: its memories are the
-    nodes, ``rule`` their action laws, ``init_memory`` the start nodes and
-    ``update`` the one-hot edges (edges on zero-probability actions point
-    at node 0).  ``merge_defect`` is the largest filter distance collapsed
-    by the rounding dedup plus any action mass dropped below the edge
-    tolerance.
+    ``controller`` is :meth:`MimicStrategy.controller`, exact by
+    construction, so ``merge_defect`` is always 0.0; the field stays because
+    the benchmark under ``perfbench/`` reads it.
     """
 
     controller: FiniteStateController
-    merge_defect: float
-
-    @property
-    def n_nodes(self):
-        return self.controller.n_memory
+    merge_defect: float = 0.0
 
 
-def build_filter_machine(model: PomdpModel, source: Strategy, h, *,
-                         round_digits=10, max_nodes=600):
-    """Close the mimic strategy's filter dynamics into a finite automaton.
-
-    Returns None when the source is not controller-representable or the
-    reachable filter set does not close within ``max_nodes``.
-    """
-    controller = source.controller(model.n_signals)
+def build_filter_machine(model: PomdpModel, source: Strategy, h):
+    """The mimic of ``source`` played at duration h, as a finite controller
+    of the base model; None for an opaque source."""
+    controller = MimicStrategy(model, source, h).controller(model.n_signals)
     if controller is None:
         return None
-    engine = EpochOperatorEngine(model, controller, validate_stage_duration(h))
-    n_s, n_a = model.n_signals, model.n_actions
-
-    nodes = []          # (signal, qdist)
-    index = {}
-    defect = 0.0
-
-    def register(signal, qdist):
-        nonlocal defect
-        key = (signal, tuple(np.round(qdist, round_digits).tolist()))
-        found = index.get(key)
-        if found is not None:
-            defect = max(defect, float(np.max(np.abs(nodes[found][1] - qdist))))
-            return found
-        idx = len(nodes)
-        nodes.append((signal, qdist))
-        index[key] = idx
-        return idx
-
-    init_nodes = np.array(
-        [register(s, controller.start(s).belief) for s in range(n_s)], dtype=np.int64
-    )
-    action_rows = []
-    edge_rows = []
-    cursor = 0
-    while cursor < len(nodes):
-        if len(nodes) > max_nodes:
-            return None
-        signal, qdist = nodes[cursor]
-        # the filter is (state part) x (memory part) and the boundary law
-        # needs only the memory part, mixed over the epoch
-        boundary = ControllerCursor(controller, qdist @ engine.mixed[signal])
-        alpha = boundary.action_distribution()
-        alpha = np.where(alpha > EDGE_TOL, alpha, 0.0)
-        dropped = 1.0 - alpha.sum()
-        if dropped > 0.0:
-            defect = max(defect, float(dropped))
-            alpha = alpha / alpha.sum()
-        edges = np.zeros((n_a, n_s), dtype=np.int64)
-        for a in np.nonzero(alpha)[0]:
-            for s2 in range(n_s):
-                edges[a, s2] = register(s2, boundary.step(a, s2).belief)
-        action_rows.append(alpha)
-        edge_rows.append(edges)
-        cursor += 1
-    if len(nodes) > max_nodes:
-        return None
-    update = np.eye(len(nodes))[np.stack(edge_rows)]  # one-hot edges
-    return FilterMachine(
-        FiniteStateController(init_nodes, np.stack(action_rows), update), defect
-    )
+    return FilterMachine(controller)

@@ -317,6 +317,21 @@ class FiniteStateController(Strategy):
         return self
 
 
+def controller_for(model: PomdpModel, strategy: Strategy
+                   ) -> FiniteStateController | None:
+    """``strategy``'s controller over the model's signals, or None when the
+    strategy is opaque; a strategy whose action count, or controller whose
+    signal count, differs from the model's raises ValueError."""
+    if strategy.n_actions != model.n_actions:
+        raise ValueError(f"strategy has {strategy.n_actions} actions, "
+                         f"the model {model.n_actions}")
+    controller = strategy.controller(model.n_signals)
+    if controller is not None and controller.n_signals != model.n_signals:
+        raise ValueError(f"controller has {controller.n_signals} signals, "
+                         f"the model {model.n_signals}")
+    return controller
+
+
 def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateController:
     """Equivalent controller: memory counts the stage modulo the cycle length."""
     period = len(seq.actions)

@@ -10,7 +10,7 @@ and a seeded random POMDP with two signals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,14 +188,6 @@ def mixing_controller(model: PomdpModel) -> FiniteStateController:
     return FiniteStateController(np.zeros(n_s, dtype=np.int64), rule, update)
 
 
-def bundled_models():
-    return {
-        "figure1": figure1_model(),
-        "fully_observed": fully_observed_model(),
-        "random_pomdp": random_pomdp_model(),
-    }
-
-
 # --- lemma checks ------------------------------------------------------------
 
 def _all_histories(model, k):
@@ -357,14 +349,9 @@ def check_corollary_rescale(model: PomdpModel, controller, h1, h2) -> CheckRepor
     m_h1 = stage_duration_transform(model, h1)
     rebased, relative = rescale_stage_duration(m_h1, h1, h2)
     report = check_theorem_main(rebased, controller, relative)
-    return CheckReport(
-        name=f"rescale_identity[h1={h1},h2={h2}]",
-        quantities=report.quantities,
-        tolerance=report.tolerance,
-        passed=report.passed,
-        criterion=report.criterion,
-        metadata={**report.metadata, "h1": h1, "h2": h2, "relative": relative},
-    )
+    return replace(report, name=f"rescale_identity[h1={h1},h2={h2}]",
+                   metadata={**report.metadata, "h1": h1, "h2": h2,
+                             "relative": relative})
 
 
 def check_monotonicity(model: PomdpModel, h_grid, lam_grid, *,
@@ -478,16 +465,16 @@ def _lemma_suite(seed):
         for h in (0.3, 0.5, 0.7):
             for k in (1, 2, 3):
                 rep = check_marginal_lemma(model, strategy, h, k)
-                reports.append(_rename(rep, f"{label}:{rep.name}"))
+                reports.append(replace(rep, name=f"{label}:{rep.name}"))
         for h in (0.3, 0.5, 0.7):
             for k in (1, 2, 3):
                 rep = check_epoch_sum_lemma(model, strategy, h, k,
                                             n_traj=10_000, rng_seed=seed + k)
-                reports.append(_rename(rep, f"{label}:{rep.name}"))
+                reports.append(replace(rep, name=f"{label}:{rep.name}"))
     fig1 = figure1_model()
     rep = check_cesaro_alignment(fig1, alternating_sequence(fig1), 0.5,
                                  big_k=400, n_traj=2000, rng_seed=seed + 77)
-    reports.append(_rename(rep, f"figure1:{rep.name}"))
+    reports.append(replace(rep, name=f"figure1:{rep.name}"))
     n = 100_000
     idx = np.arange(0, n, 2)
     seq = np.sin(np.sqrt(np.arange(1, n + 1)))
@@ -505,16 +492,16 @@ def _theorem_suite(seed):
                             ("uniform", uniform_controller(model))):
             for h in (0.25, 0.5):
                 rep = check_theorem_main(model, ctrl, h)
-                reports.append(_rename(rep, f"{label}:{cname}:{rep.name}"))
+                reports.append(replace(rep, name=f"{label}:{cname}:{rep.name}"))
     rand = random_pomdp_model()
     for h in (0.25, 0.5):
         rep = check_theorem_main(rand, mixing_controller(rand), h)
-        reports.append(_rename(rep, f"random_pomdp:mixing:{rep.name}"))
+        reports.append(replace(rep, name=f"random_pomdp:mixing:{rep.name}"))
     fig1 = figure1_model()
     rep = check_corollary_rescale(fig1, alternating_controller(fig1), 0.25, 0.5)
-    reports.append(_rename(rep, f"figure1:alternating:{rep.name}"))
+    reports.append(replace(rep, name=f"figure1:alternating:{rep.name}"))
     rep = check_corollary_rescale(rand, uniform_controller(rand), 0.25, 0.5)
-    reports.append(_rename(rep, f"random_pomdp:uniform:{rep.name}"))
+    reports.append(replace(rep, name=f"random_pomdp:uniform:{rep.name}"))
     return reports
 
 
@@ -528,17 +515,6 @@ def _fully_observed_suite(seed):
         model, (0.25, 0.5, 0.75, 1.0), (0.1, 0.05, 0.02, 0.01, 0.005)
     ))
     return reports
-
-
-def _rename(report: CheckReport, name) -> CheckReport:
-    return CheckReport(
-        name=name,
-        quantities=report.quantities,
-        tolerance=report.tolerance,
-        passed=report.passed,
-        criterion=report.criterion,
-        metadata=report.metadata,
-    )
 
 
 SUITES = {

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from stagepomdp import evaluate
+from stagepomdp import evaluate, mimic
 from stagepomdp.verify import random_pomdp_model
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -47,3 +47,25 @@ def test_enumerated_jobs_stay_on_the_enumeration_route():
     opaque = models.OpaqueStrategy(table, models.VisitCounter())
     assert opaque.controller(pomdp.n_signals) is None
     assert table.controller(pomdp.n_signals) is not None
+
+
+def test_exact_routes_machines_are_exact(tmp_path, monkeypatch):
+    # the exact-routes workload checks a filter machine's average against
+    # its oracle only when merge_defect is 0; every one of its cycles
+    # (ER_SHAPES x ER_H, seed 1) must get that check
+    workloads = _perfbench_module("workloads")
+    monkeypatch.setattr(workloads, "OUT_DIR", str(tmp_path))
+    routes = workloads.ExactRoutes(1, "full")
+    try:
+        calls = [job.fn.args for job in routes.jobs
+                 if job.name == "filter_machine.sequence"]
+    finally:
+        routes.close()
+    assert len(calls) == len(workloads.ER_SHAPES) * len(workloads.ER_H)
+    for pomdp, source, h in calls:
+        machine = mimic.build_filter_machine(pomdp, source, h)
+        assert machine.merge_defect == 0.0
+        average = evaluate.cesaro_average(
+            *evaluate.machine_product_chain(pomdp, machine))
+        assert abs(average - evaluate.longrun_average_exact_fsc(
+            pomdp, source, h).value) <= 1e-9

@@ -119,6 +119,24 @@ def test_fsc_strategy_file(capsys, tmp_path):
     assert "mode: exact" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "{fig1}", "--h", "1.5"],
+    ["mimic", "{fig1}", "--h", "0", "--strategy", "seq:a,b", "--history", "s1"],
+    ["evaluate", "{fig1}", "--h", "0.5", "--strategy", "seq:a,b", "--lambda", "2"],
+    ["evaluate", "{fig1}", "--h", "0.5", "--strategy", "seq:a,b", "--average",
+     "--mc", "10", "--horizon", "0"],
+    ["sweep", "{fig1}", "--h-grid", "0.5", "--lambda-grid", "0.01,0.1",
+     "--csv", "{csv}"],
+], ids=["transform-h", "mimic-h", "evaluate-lambda", "evaluate-horizon",
+        "sweep-lambda-grid"])
+def test_out_of_range_input_exit_2(capsys, fig1_file, tmp_path, argv):
+    # a value the library rejects is an input error, not a failed check
+    argv = [a.format(fig1=fig1_file, csv=tmp_path / "out.csv") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_unknown_strategy_spec(capsys, fig1_file):
     code, _, err = run(capsys, "mimic", str(fig1_file), "--h", "0.5",
                        "--strategy", "magic", "--history", "s1")

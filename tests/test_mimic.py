@@ -8,7 +8,12 @@ from stagepomdp.errors import (
     NoAcceptedSamples,
     TruncationDominates,
 )
-from stagepomdp.evaluate import discounted_payoff, longrun_average_exact_fsc
+from stagepomdp.evaluate import (
+    cesaro_average,
+    discounted_payoff,
+    longrun_average_exact_fsc,
+    machine_product_chain,
+)
 from stagepomdp.mimic import (
     build_filter_machine,
     build_mimic_strategy,
@@ -485,7 +490,7 @@ def test_machine_closes_for_alternating():
     m = figure1_model()
     machine = build_filter_machine(m, alternating_controller(m), 0.5)
     assert machine is not None
-    assert machine.n_nodes <= 4
+    assert machine.controller.n_memory <= 4
     assert machine.merge_defect == 0.0
     # node action laws reproduce the closed-form parities
     mimic = build_mimic_strategy(m, alternating_controller(m), 0.5)
@@ -494,8 +499,13 @@ def test_machine_closes_for_alternating():
     assert ctrl.rule[start] == pytest.approx(mimic.act(History(0)))
 
 
+def alternating_sequence(model):
+    return SequenceStrategy.pure([0, 1], model.n_actions)
+
+
 @pytest.mark.parametrize("model_fn", [figure1_model, random_pomdp_model])
 @pytest.mark.parametrize("ctrl_fn", [alternating_controller, uniform_controller,
+                                     mixing_controller, alternating_sequence,
                                      depth_two_table])
 @pytest.mark.parametrize("h", [0.25, 0.5])
 def test_machine_controller_keeps_source_average(model_fn, ctrl_fn, h):
@@ -505,31 +515,35 @@ def test_machine_controller_keeps_source_average(model_fn, ctrl_fn, h):
     source = ctrl_fn(m)
     machine = build_filter_machine(m, source, h)
     assert machine is not None
-    # a table's filters reach its absorbing memory through a posterior sum,
-    # so the dedup may merge two filters one roundoff apart
-    roundoff = 1e-15 if isinstance(source, TableStrategy) else 0.0
-    assert machine.merge_defect <= roundoff
-    mimic_avg = longrun_average_exact_fsc(m, machine.controller, 1.0).value
+    assert machine.merge_defect == 0.0
+    mimic_avg = cesaro_average(*machine_product_chain(m, machine))
     source_avg = longrun_average_exact_fsc(m, source, h).value
-    assert mimic_avg == pytest.approx(source_avg, abs=1e-9)
+    assert abs(mimic_avg - source_avg) <= 1e-12
 
 
 def test_machine_closes_for_uniform_controller():
     m = random_pomdp_model()
     machine = build_filter_machine(m, uniform_controller(m), 0.25)
-    assert machine is not None and machine.n_nodes <= m.n_signals
+    assert machine is not None and machine.controller.n_memory <= m.n_signals
 
 
-def test_machine_does_not_close_for_mixing_controller():
+def test_machine_built_for_mixing_controller():
+    # the mixing controller's memory filters never close; the machine is the
+    # mimic's controller all the same, one memory per (source memory, signal)
     m = random_pomdp_model()
-    machine = build_filter_machine(m, mixing_controller(m), 0.5, max_nodes=600)
-    assert machine is None
+    source = mixing_controller(m)
+    machine = build_filter_machine(m, source, 0.5)
+    assert machine.controller.n_memory == 2 * m.n_signals
+    assert machine.merge_defect == 0.0
+    mimic_avg = longrun_average_exact_fsc(m, machine.controller, 1.0).value
+    source_avg = longrun_average_exact_fsc(m, source, 0.5).value
+    assert abs(mimic_avg - source_avg) <= 1e-12
 
 
 def test_machine_built_for_table_source():
     m = figure1_model()
     machine = build_filter_machine(m, small_table_strategy(), 0.5)
-    assert machine is not None and machine.merge_defect <= 1e-15
+    assert machine is not None and machine.merge_defect == 0.0
 
 
 def test_machine_none_for_opaque_source():

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from stagepomdp.epochs import simulate_gh, worker_rng
-from stagepomdp.evaluate import discounted_payoff, longrun_average_mc
+from stagepomdp.epochs import simulate_batch, simulate_gh, worker_rng
+from stagepomdp.evaluate import (
+    discounted_payoff,
+    longrun_average_exact_fsc,
+    longrun_average_mc,
+)
 from stagepomdp.errors import BudgetExceeded
-from stagepomdp.mimic import build_mimic_strategy
+from stagepomdp.mimic import MimicStrategy, build_mimic_strategy
 from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
     MAX_TABLE_MEMORIES,
@@ -15,6 +19,7 @@ from stagepomdp.strategies import (
     SequenceStrategy,
     Strategy,
     TableStrategy,
+    controller_for,
     exact_history_distribution,
     sequence_as_controller,
     uniform_action,
@@ -321,3 +326,42 @@ def test_budget_guard():
     seq = SequenceStrategy.pure([0], model.n_actions)
     with pytest.raises(BudgetExceeded):
         exact_history_distribution(model, seq, 30, budget=1000)
+
+
+def one_memory_controller(n_actions, n_signals):
+    return FiniteStateController(np.zeros(n_signals, dtype=np.int64),
+                                 [uniform_action(n_actions)],
+                                 np.ones((1, n_actions, n_signals, 1)))
+
+
+@pytest.mark.parametrize("n_actions,n_signals,wrap", [
+    (2, 1, False), (2, 3, False), (1, 2, False), (3, 2, False),
+    (1, 2, True), (3, 2, True),
+], ids=["1-signal", "3-signal", "1-action", "3-action", "opaque-1-action",
+        "opaque-3-action"])
+@pytest.mark.parametrize("entry", [
+    lambda m, c: simulate_batch(m, c, 0.5, 4, 0, sums_at=[5]),
+    lambda m, c: longrun_average_exact_fsc(m, c, 0.5),
+    lambda m, c: discounted_payoff(m, c, 0.5, 0.5),
+    lambda m, c: MimicStrategy(m, c, 0.5),
+], ids=["simulate_batch", "longrun_exact", "discounted", "mimic"])
+def test_strategy_counts_must_match_model(n_actions, n_signals, wrap, entry):
+    # random_pomdp_model has 2 actions and 2 signals; an opaque strategy
+    # declares only its action count
+    m = random_pomdp_model()
+    strategy = one_memory_controller(n_actions, n_signals)
+    if wrap:
+        strategy = _Opaque(strategy)
+    with pytest.raises(ValueError, match="(strategy|controller) has"):
+        entry(m, strategy)
+
+
+def test_mimic_controller_checked_against_other_model():
+    # the mimic's controller has the signals of the model it was built for
+    m = random_pomdp_model()
+    mimic = build_mimic_strategy(m, one_memory_controller(2, 2), 0.5)
+    assert controller_for(m, mimic) is mimic.controller(m.n_signals)
+    other = make_model(["w"], ["a", "b"], ["s"], [0], np.zeros((1, 2)),
+                       np.ones((1, 2, 1)), [1.0])
+    with pytest.raises(ValueError, match="signals"):
+        controller_for(other, mimic)
