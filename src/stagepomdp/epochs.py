@@ -8,6 +8,8 @@ epoch lengths are i.i.d. geometric(h).
 
 Simulating the duration-h model via (base P, marks) instead of the mixed
 kernel gives the same law and exposes the epoch structure directly.
+:func:`simulate_batch` is the one Monte Carlo loop: all plays advance at
+once, each holding a controller memory or an opaque strategy's cursor.
 """
 
 from __future__ import annotations
@@ -197,14 +199,15 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     Each play runs ``max(sums_at)`` stages with Bernoulli(h) marks or, with
     ``epochs=k``, runs through its k-th epoch and at least ``max(sums_at)``
     stages, its k epoch lengths drawn first as in :func:`simulate_epochs_gh`.
+    Only the first ``max(sums_at)`` of ``stage_weights`` are used.
 
-    A strategy with a controller (``strategy.controller``: controllers,
-    sequences, tables and controller-source mimics) is simulated for all
-    plays at once: state and controller memory are arrays over the plays
-    and every draw is an inverse-CDF lookup.  An opaque strategy plays one
-    trajectory at a time through its cursor, by :func:`simulate_gh` or
-    :func:`simulate_epochs_gh`, with their random stream.  The two paths
-    draw different random streams under the same law.
+    All plays run at once: state and strategy memory are arrays over the
+    plays and every draw is an inverse-CDF lookup.  A strategy with a
+    controller (``strategy.controller``: controllers, sequences, tables and
+    controller-source mimics) samples its controller memory; an opaque
+    strategy holds one cursor per distinct merge key, shared by every play
+    whose history reached that key.  A controller with deterministic
+    updates draws the same numbers behind an opaque wrapper as bare.
     """
     h = validate_stage_duration(h)
     if n_plays < 1:
@@ -217,39 +220,14 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
         raise ValueError("horizon must be >= 1")
     if sums_at.size and sums_at.min() < 1:
         raise ValueError("payoff sums need at least one stage")
+    if stage_weights is not None and len(stage_weights) < horizon:
+        raise ValueError(f"{len(stage_weights)} stage weights, {horizon} stages")
     rng = as_generator(seed_or_rng)
     controller = controller_for(model, strategy)
-    if controller is None:
-        return _cursor_plays(model, strategy, h, n_plays, rng, sums_at,
-                             stage_weights, epochs, horizon)
-    return _batched_plays(model, controller, h, n_plays, rng, sums_at,
+    memory = (_CursorMemory(model, strategy) if controller is None
+              else _ControllerMemory(controller))
+    return _batched_plays(model, memory, h, n_plays, rng, sums_at,
                           stage_weights, epochs, horizon)
-
-
-def _cursor_plays(model, strategy, h, n_plays, rng, sums_at, stage_weights,
-                  k, horizon):
-    sums, bounds, states, actions, epoch_sums = [], [], [], [], []
-    for _ in range(n_plays):
-        if k:
-            traj, sample = simulate_epochs_gh(model, strategy, h, k, rng,
-                                              min_horizon=horizon)
-            edges = sample.boundaries
-        else:
-            traj = simulate_gh(model, strategy, h, horizon, rng)
-            edges = np.zeros(1, dtype=np.int64)
-        payoffs = model.payoff[traj.states, traj.actions]
-        if stage_weights is None:
-            sums.append(np.cumsum(payoffs)[sums_at - 1])
-        else:
-            sums.append(np.array([stage_weights[:t] @ payoffs[:t]
-                                  for t in sums_at]))
-        bounds.append(edges)
-        states.append(traj.states[edges[:-1]])
-        actions.append(traj.actions[edges[1:] - 1])
-        epoch_sums.append(np.add.reduceat(payoffs[:edges[-1]], edges[:-1])
-                          if k else np.zeros(0))
-    return PlayBatch(np.stack(sums), np.stack(bounds), np.stack(states),
-                     np.stack(actions), np.stack(epoch_sums))
 
 
 def _cdf(probs):
@@ -267,7 +245,60 @@ def _draw(cdf_rows, u):
     return (cdf_rows > u).argmax(axis=1)
 
 
-def _batched_plays(model, controller, h, n_plays, rng, sums_at, stage_weights,
+class _ControllerMemory:
+    """Each play's controller memory, drawn from the update rows."""
+
+    def __init__(self, controller):
+        self.init_memory = controller.init_memory
+        self.action_cdf = _cdf(controller.rule)
+        self.update_cdf = _cdf(controller.update)
+
+    def start(self, signals):
+        return self.init_memory[signals]
+
+    def action_rows(self, memory):
+        return self.action_cdf[memory]
+
+    def step(self, memory, action, signals, u):
+        return _draw(self.update_cdf[memory, action, signals], u)
+
+
+class _CursorMemory:
+    """Each play's index into the cursors of the current stage, one cursor per
+    distinct merge key; equal keys behave alike on every continuation, so
+    plays sharing a cursor keep the strategy's law."""
+
+    def __init__(self, model, strategy):
+        self.strategy = strategy
+        self.n_codes = model.n_actions * model.n_signals
+        self.n_signals = model.n_signals
+        self.cursors = []
+
+    def start(self, signals):
+        return self._intern(signals, self.strategy.start)
+
+    def action_rows(self, memory):
+        rows = [cursor.action_distribution() for cursor in self.cursors]
+        return _cdf(np.array(rows))[memory]
+
+    def step(self, memory, action, signals, u):
+        def child(code):
+            q, rest = divmod(code, self.n_codes)
+            return self.cursors[q].step(*divmod(rest, self.n_signals))
+        return self._intern(memory * self.n_codes + action * self.n_signals
+                            + signals, child)
+
+    def _intern(self, codes, child):
+        """One ``child(code)`` per distinct code, interned by merge key."""
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        keyed = {}
+        index = [keyed.setdefault(cursor.merge_key(), (len(keyed), cursor))[0]
+                 for cursor in map(child, distinct.tolist())]
+        self.cursors = [cursor for _, cursor in keyed.values()]
+        return np.array(index)[inverse]
+
+
+def _batched_plays(model, memory, h, n_plays, rng, sums_at, stage_weights,
                    k, horizon):
     rows = np.arange(n_plays)
     signal_map, payoff = model.signal_map, model.payoff
@@ -275,8 +306,6 @@ def _batched_plays(model, controller, h, n_plays, rng, sums_at, stage_weights,
     # the rest, so the duration-h kernel folds it into the transition draw
     kernel = model.transition if k else stage_duration_transform(model, h).transition
     transition_cdf = _cdf(kernel)
-    action_cdf = _cdf(controller.rule)
-    update_cdf = _cdf(controller.update)
     columns = {}
     for c, t in enumerate(sums_at.tolist()):
         columns.setdefault(t, []).append(c)
@@ -300,15 +329,14 @@ def _batched_plays(model, controller, h, n_plays, rng, sums_at, stage_weights,
 
     init_cdf = np.broadcast_to(_cdf(model.init), (n_plays, model.n_states))
     state = _draw(init_cdf, rng.random((n_plays, 1)))
-    memory = controller.init_memory[signal_map[state]]
+    held = memory.start(signal_map[state])
     for j in range(n_stages):
         u = rng.random((4 if k else 3, n_plays, 1))
-        action = _draw(action_cdf[memory], u[0])
+        action = _draw(memory.action_rows(held), u[0])
         stage_payoff = payoff[state, action]
-        if stage_weights is None:
-            total += stage_payoff
-        else:
-            total += stage_weights[j] * stage_payoff
+        if j < horizon:
+            total += (stage_payoff if stage_weights is None
+                      else stage_weights[j] * stage_payoff)
         if j + 1 in columns:
             sums[:, columns[j + 1]] = total[:, None]
         if k:
@@ -324,7 +352,7 @@ def _batched_plays(model, controller, h, n_plays, rng, sums_at, stage_weights,
             epoch += mark & ~free
             moved = np.where(mark, moved, state)
         state = moved
-        memory = _draw(update_cdf[memory, action, signal_map[state]], u[2])
+        held = memory.step(held, action, signal_map[state], u[2])
     return PlayBatch(sums, bounds[:, :k + 1], epoch_states[:, :k],
                      epoch_actions[:, :k], epoch_sums[:, :k])
 

@@ -229,6 +229,8 @@ def longrun_average_mc(model: PomdpModel, strategy: Strategy, h, horizon,
     that checkpoint.
     """
     h = validate_stage_duration(h)
+    if n_checkpoints < 1:
+        raise ValueError(f"n_checkpoints must be >= 1, got {n_checkpoints}")
     checkpoints = np.unique(
         np.linspace(1, horizon, min(n_checkpoints, horizon)).astype(np.int64)
     )

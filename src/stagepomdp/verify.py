@@ -253,6 +253,8 @@ def check_epoch_sum_lemma(model: PomdpModel, strategy: Strategy, h, k,
                           n_traj, rng_seed) -> CheckReport:
     """Epoch payoff sum vs (1/h) x boundary payoff, two independent MC batches."""
     h = validate_stage_duration(h)
+    if n_traj < 2:
+        raise ValueError(f"n_traj must be >= 2 for a standard error, got {n_traj}")
     sums = simulate_batch(model, strategy, h, n_traj, worker_rng(rng_seed, 0),
                           epochs=k).epoch_sums[:, k - 1]
     last = simulate_batch(model, strategy, h, n_traj, worker_rng(rng_seed, 1),
@@ -277,6 +279,8 @@ def check_cesaro_alignment(model: PomdpModel, strategy: Strategy, h, big_k,
     h = validate_stage_duration(h)
     if big_k < 10:
         raise ValueError("K must be >= 10")
+    if n_traj < 2:
+        raise ValueError(f"n_traj must be >= 2 for a standard error, got {n_traj}")
     t_k = int(math.floor(big_k / h))
     plays = simulate_batch(model, strategy, h, n_traj, worker_rng(rng_seed, 0),
                            sums_at=[t_k], epochs=big_k)

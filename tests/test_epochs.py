@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,18 +15,16 @@ from stagepomdp.epochs import (
     simulate_gh,
     worker_rng,
 )
-from stagepomdp.evaluate import (
-    controller_product_chain,
-    discounted_payoff,
-    longrun_average_mc,
-)
-from stagepomdp.mimic import build_mimic_strategy, mimic_action_mc
+from stagepomdp.evaluate import controller_product_chain
+from stagepomdp.mimic import build_mimic_strategy
 from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
     FiniteStateController,
     History,
+    ReplayCursor,
     SequenceStrategy,
     Strategy,
+    StrategyCursor,
     TableStrategy,
     exact_history_distribution,
 )
@@ -168,7 +167,8 @@ def batched_mean(model, strategy, h, t, n_plays, seed):
     return means.mean(), means.std(ddof=1) / math.sqrt(n_plays)
 
 
-@pytest.mark.parametrize("name", ["stochastic_update", "cycle", "table"])
+@pytest.mark.parametrize("name", ["stochastic_update", "cycle", "table",
+                                  "opaque_mixing", "opaque_stochastic_update"])
 def test_batched_law_controllers(name):
     m = random_pomdp_model()
     h, t = 0.5, 30
@@ -178,9 +178,12 @@ def test_batched_law_controllers(name):
         strategy, t = small_table(), 4
         exact = strategy_finite_mean(stage_duration_transform(m, h), strategy, t)
     else:
-        strategy = (stochastic_update_controller(m) if name == "stochastic_update"
-                    else alternating_controller(m))
-        exact = controller_finite_mean(m, strategy, h, t)
+        controller = {"stochastic_update": stochastic_update_controller,
+                      "cycle": alternating_controller,
+                      "mixing": mixing_controller}[name.removeprefix("opaque_")](m)
+        exact = controller_finite_mean(m, controller, h, t)
+        # behind the wrapper the plays hold posterior cursors, merged by key
+        strategy = Opaque(controller) if name.startswith("opaque_") else controller
     mean, se = batched_mean(m, strategy, h, t, 20_000, worker_rng(41, 0))
     assert abs(mean - exact) <= 4.0 * se
 
@@ -233,7 +236,7 @@ def test_batched_pinned_epochs_run_to_horizon():
 
 
 class Opaque(Strategy):
-    """Hides the concrete strategy class, forcing the cursor path."""
+    """Hides the concrete strategy class, so only its cursors are seen."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -250,28 +253,79 @@ def small_table():
                          default=[0.3, 0.7])
 
 
-# values of the per-trajectory cursor simulator before batched simulation
-# existed; opaque strategies must keep its random stream
-CURSOR_VALUES = {
-    "opaque": (0.5380175620374515, 0.011782727474745262, 0.6018871057383659,
-               0.02550112197070369, (0.5094339622641509, 0.49056603773584906), 53),
-}
-
-
-@pytest.mark.parametrize("name", ["opaque"])
-def test_cursor_path_stream_unchanged(name):
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("make", [alternating_controller, mixing_controller])
+def test_opaque_deterministic_controller_plays_as_bare(make, k):
+    # its posterior cursors stay on one memory, whose rule row they play
     m = random_pomdp_model()
-    strategy = Opaque(mixing_controller(m))
-    assert strategy.controller(m.n_signals) is None
-    longrun = longrun_average_mc(m, strategy, 0.5, horizon=60, n_traj=12,
-                                 seed_or_rng=worker_rng(31, 0))
-    disc = discounted_payoff(m, strategy, 0.4, 0.5, method="mc", tol=1e-6,
-                             n_traj=10, seed=32)
-    est = mimic_action_mc(m, strategy, 0.5, History(0).child(0, 0), 200,
-                          worker_rng(33, 0))
-    got = (longrun.value, longrun.std_error, disc.value, disc.std_error,
-           tuple(est.weights.tolist()), est.n_accepted)
-    assert got == CURSOR_VALUES[name]
+    controller = make(m)
+    bare, opaque = (simulate_batch(m, strategy, 0.5, 300, worker_rng(45, k),
+                                   sums_at=[7, 25], epochs=k)
+                    for strategy in (controller, Opaque(controller)))
+    for field in dataclasses.fields(bare):
+        assert np.array_equal(getattr(bare, field.name),
+                              getattr(opaque, field.name))
+
+
+class CountingOpaque(Strategy):
+    """Opaque wrapper whose cursors log (stage, merge key) per action law."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+        self.calls = []
+
+    def start(self, first_signal):
+        return _CountingCursor(self, self.inner.start(first_signal), 0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingCursor(StrategyCursor):
+    owner: CountingOpaque
+    inner: StrategyCursor
+    stage: int
+
+    def action_distribution(self):
+        self.owner.calls.append((self.stage, self.merge_key()))
+        return self.inner.action_distribution()
+
+    def step(self, action, signal):
+        return _CountingCursor(self.owner, self.inner.step(action, signal),
+                               self.stage + 1)
+
+    def merge_key(self):
+        return self.inner.merge_key()
+
+
+def test_cursor_plays_share_action_laws():
+    m = random_pomdp_model()
+    strategy = CountingOpaque(alternating_controller(m))
+    simulate_batch(m, strategy, 0.5, 1000, 3, sums_at=[50])
+    # at most one call per distinct key per stage, not one per play-stage
+    assert len(set(strategy.calls)) == len(strategy.calls)
+    assert len(strategy.calls) <= 50 * alternating_controller(m).n_memory
+
+
+class SignalParity(Strategy):
+    """Plays by the parity of the signals seen so far, through replay cursors
+    keyed by the whole history, so plays with distinct histories never merge."""
+
+    n_actions = 2
+
+    def start(self, first_signal):
+        return ReplayCursor(self, History(first_signal))
+
+    def act(self, history):
+        ones = history.first_signal + sum(s for _, s in history.steps)
+        return np.array([0.8, 0.2]) if ones % 2 else np.array([0.3, 0.7])
+
+
+def test_batched_law_unmerged_replay_cursors():
+    m = random_pomdp_model()
+    h, t = 0.5, 6
+    exact = strategy_finite_mean(stage_duration_transform(m, h), SignalParity(), t)
+    mean, se = batched_mean(m, SignalParity(), h, t, 20_000, worker_rng(44, 0))
+    assert abs(mean - exact) <= 4.0 * se
 
 
 def test_table_source_mimic_has_controller():
@@ -293,6 +347,18 @@ def test_draw_never_lands_on_zero_probability_tail():
         cdf = _cdf(np.array([row]))
         assert _draw(cdf, top)[0] == last
         assert _draw(cdf, np.zeros((1, 1)))[0] == first
+
+
+def test_stage_weights_cover_only_the_summed_stages():
+    m = random_pomdp_model()
+    controller = alternating_controller(m)
+    weighted = simulate_batch(m, controller, 0.3, 50, 1, sums_at=[3],
+                              stage_weights=np.ones(3), epochs=4)
+    plain = simulate_batch(m, controller, 0.3, 50, 1, sums_at=[3], epochs=4)
+    assert np.array_equal(weighted.sums, plain.sums)
+    with pytest.raises(ValueError, match="stage weights"):
+        simulate_batch(m, controller, 0.3, 50, 1, sums_at=[3, 5],
+                       stage_weights=np.ones(4))
 
 
 def test_batched_rejects_empty_horizon():

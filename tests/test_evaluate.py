@@ -195,6 +195,14 @@ def test_exact_vs_mc_longrun_agreement():
     assert abs(exact - est.value) <= 3.0 * est.std_error + 2e-3
 
 
+@pytest.mark.parametrize("n_checkpoints", [0, -1])
+def test_longrun_mc_rejects_no_checkpoints(n_checkpoints):
+    m = random_pomdp_model()
+    with pytest.raises(ValueError, match="n_checkpoints must be >= 1"):
+        longrun_average_mc(m, alternating_controller(m), 0.5, horizon=50,
+                           n_traj=10, seed_or_rng=0, n_checkpoints=n_checkpoints)
+
+
 def test_cesaro_average_transient_mix():
     # one transient state splitting between two absorbing states
     chain = np.array([

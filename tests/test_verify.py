@@ -168,6 +168,16 @@ def test_cesaro_h1_identical():
     assert report.quantities["difference"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_lemma_checks_need_two_plays():
+    # one play has no standard error, so its tolerance would be NaN
+    m = random_pomdp_model()
+    seq = SequenceStrategy.pure([0, 1], 2)
+    with pytest.raises(ValueError, match="n_traj"):
+        check_epoch_sum_lemma(m, seq, 0.5, 2, n_traj=1, rng_seed=0)
+    with pytest.raises(ValueError, match="n_traj"):
+        check_cesaro_alignment(m, seq, 0.5, 40, n_traj=1, rng_seed=0)
+
+
 # --- liminf utilities -------------------------------------------------------------------
 
 def test_liminf_trailing_values():
