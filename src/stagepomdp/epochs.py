@@ -9,7 +9,9 @@ epoch lengths are i.i.d. geometric(h).
 Simulating the duration-h model via (base P, marks) instead of the mixed
 kernel gives the same law and exposes the epoch structure directly.
 :func:`simulate_batch` is the one Monte Carlo loop: all plays advance at
-once, each holding a controller memory or an opaque strategy's cursor.
+once, each holding a controller memory or the id of an opaque strategy's
+cursor in a :class:`~stagepomdp.strategies.CursorTable`, so that a stage is
+array indexing either way.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import SingularSystem
 from .model import PomdpModel, stage_duration_transform, validate_stage_duration
-from .strategies import Strategy, controller_for
+from .strategies import CursorTable, Strategy, controller_for
 
 #: residual tolerance for the epoch-operator linear solve
 OPERATOR_RESIDUAL_TOL = 1e-10
@@ -205,9 +207,10 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     plays and every draw is an inverse-CDF lookup.  A strategy with a
     controller (``strategy.controller``: controllers, sequences, tables and
     controller-source mimics) samples its controller memory; an opaque
-    strategy holds one cursor per distinct merge key, shared by every play
-    whose history reached that key.  A controller with deterministic
-    updates draws the same numbers behind an opaque wrapper as bare.
+    strategy's plays hold ids in a table of its cursors, one per distinct
+    merge key, shared by every play whose history reached that key.  A
+    controller with deterministic updates draws the same numbers behind an
+    opaque wrapper as bare.
     """
     h = validate_stage_duration(h)
     if n_plays < 1:
@@ -264,38 +267,37 @@ class _ControllerMemory:
 
 
 class _CursorMemory:
-    """Each play's index into the cursors of the current stage, one cursor per
-    distinct merge key; equal keys behave alike on every continuation, so
-    plays sharing a cursor keep the strategy's law."""
+    """Each play's id in a :class:`~stagepomdp.strategies.CursorTable` of the
+    strategy's cursors, kept to the ids the plays hold; equal keys behave
+    alike on every continuation, so plays sharing an id keep the strategy's
+    law.  An id's action-CDF row is built once."""
 
     def __init__(self, model, strategy):
         self.strategy = strategy
-        self.n_codes = model.n_actions * model.n_signals
         self.n_signals = model.n_signals
-        self.cursors = []
+        self.table = CursorTable(model.n_actions, model.n_signals)
+        self.action_cdf = np.empty((0, model.n_actions))
 
     def start(self, signals):
-        return self._intern(signals, self.strategy.start)
+        first = np.zeros(self.n_signals, dtype=np.int64)
+        for s in np.unique(signals).tolist():
+            first[s] = self.table.intern(self.strategy.start(s))
+        return first[signals]
 
     def action_rows(self, memory):
-        rows = [cursor.action_distribution() for cursor in self.cursors]
-        return _cdf(np.array(rows))[memory]
+        new = self.table.cursors[len(self.action_cdf):]
+        if new:
+            laws = np.array([cursor.action_distribution() for cursor in new])
+            self.action_cdf = np.vstack([self.action_cdf, _cdf(laws)])
+        return self.action_cdf[memory]
 
     def step(self, memory, action, signals, u):
-        def child(code):
-            q, rest = divmod(code, self.n_codes)
-            return self.cursors[q].step(*divmod(rest, self.n_signals))
-        return self._intern(memory * self.n_codes + action * self.n_signals
-                            + signals, child)
-
-    def _intern(self, codes, child):
-        """One ``child(code)`` per distinct code, interned by merge key."""
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        keyed = {}
-        index = [keyed.setdefault(cursor.merge_key(), (len(keyed), cursor))[0]
-                 for cursor in map(child, distinct.tolist())]
-        self.cursors = [cursor for _, cursor in keyed.values()]
-        return np.array(index)[inverse]
+        held = self.table.children_of(memory, action * self.n_signals + signals)
+        remap = self.table.keep(held)
+        if remap is None:
+            return held
+        self.action_cdf = self.action_cdf[remap[:len(self.action_cdf)] >= 0]
+        return remap[held]
 
 
 def _batched_plays(model, memory, h, n_plays, rng, sums_at, stage_weights,

@@ -290,14 +290,14 @@ def _discounted_truncated(model, strategy, lam, h, tol, budget):
     weight = eff
     for stage in range(horizon):
         grown = {}
-        for cursor, mass, alpha in enum.visit(frontier):
+        for i, mass, alpha in enum.visit(frontier):
             total += weight * float(mass @ model.payoff @ alpha)
             if stage + 1 < horizon:
-                enum.step(grown, cursor, mass, alpha, mh.transition)
-        frontier = grown
+                enum.step(grown, i, mass, alpha, mh.transition)
         weight *= 1.0 - eff
-        if not frontier or weight == 0.0:
+        if not grown or weight == 0.0:
             break
+        frontier, = enum.keep(frontier, grown)
     bound = model.max_abs_payoff * (1.0 - eff) ** horizon
     return total, bound, horizon
 
@@ -311,11 +311,14 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
     strategies and otherwise enumerates to a horizon with tail bound
     M*(1-lam*h)^T <= tol; 'mc' simulates to the same horizon, capped at
     ``MC_HORIZON_CAP`` stages, and reports M*(1-lam*h)^T as its bound.
+    ``tol`` must be positive and finite for every method.
     """
     h = validate_stage_duration(h)
     lam = float(lam)
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"lambda must be in (0, 1], got {lam!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     eff = lam * h
     meta = {"h": h, "lam": lam}
     if method == "exact":

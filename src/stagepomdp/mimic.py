@@ -196,19 +196,21 @@ def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
         for m in range(n_max):
             expanding = m + 1 < n_max and h < 1.0
             grown = {}
-            for cursor, mass, alpha in enum.visit(frontier):
+            for i, mass, alpha in enum.visit(frontier):
                 if boundary is None:
                     joint += np.outer(geom * mass, alpha)
                 else:
-                    enum.step(following, cursor, geom * mass, alpha, model.transition,
+                    enum.step(following, i, geom * mass, alpha, model.transition,
                               action=boundary[0], signal=boundary[1])
                 if expanding:
                     for a in np.nonzero(alpha > 0.0)[0].tolist():
-                        enum.merge(grown, cursor.step(a, signal), mass * alpha[a])
-            frontier = grown
+                        enum.merge(grown, enum.table.child(i, a, signal),
+                                   mass * alpha[a])
             geom *= 1.0 - h
-            if not frontier or geom == 0.0:
+            if not grown or geom == 0.0:
                 break
+            # at an epoch's end the cursors stay for the next epoch's stages
+            frontier, following = enum.keep(frontier, grown, following)
         if boundary is not None:
             frontier, signal = following, boundary[1]
     return joint
@@ -221,7 +223,8 @@ def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistor
     Returns ``(joint, bound)`` with ``joint`` unnormalized of shape
     (states, actions).  Sources with a controller form go through the
     closed-form route (bound 0); opaque sources are enumerated with each
-    epoch truncated at ``n_max`` stages.
+    epoch truncated at ``n_max`` stages.  ``n_max`` below 1, or an action or
+    signal of ``fil`` out of the model's range, raises ValueError.
     """
     return MimicStrategy(model, strategy, h, n_max, budget).filtered_joint(fil)
 
@@ -294,6 +297,8 @@ class MimicStrategy(Strategy):
                        if controller is not None else None)
         if n_max is None and self.engine is None:
             n_max = default_truncation(self.h)
+        if n_max is not None and n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max!r}")
         self.n_max = n_max
         self.budget = budget
         self._controller = None
@@ -334,7 +339,13 @@ class MimicStrategy(Strategy):
     def filtered_joint(self, fil: FilteredHistory):
         """``(joint, bound)`` of the source at ``fil``: the closed-form route
         when the source has a controller form, otherwise truncated
-        enumeration."""
+        enumeration.  An action or signal of ``fil`` out of the model's range
+        raises ValueError."""
+        n_a, n_s = self.n_actions, self.model.n_signals
+        if not (0 <= fil.first_signal < n_s
+                and all(0 <= a < n_a and 0 <= s < n_s for a, s in fil.steps)):
+            raise ValueError(f"filtered history {fil} is out of range for "
+                             f"{n_a} actions and {n_s} signals")
         if self.engine is not None:
             filt, signal = self.engine.filtered_forward(fil)
             return self.engine.boundary_joint(filt, signal), 0.0

@@ -10,9 +10,11 @@ controllers (:meth:`Strategy.controller`), which the exact and batched
 routes use.  Any other strategy, and any larger table, is opaque: it is
 only known through a :class:`StrategyCursor`, an immutable stepper whose
 ``merge_key`` is equal for two cursors only when they behave identically on
-every continuation.  :class:`CursorEnumeration` enumerates such cursors
-forward one stage at a time, merging (mass-summing) branches with equal
-keys.
+every continuation.  A :class:`CursorTable` interns such cursors by key to
+dense ids and computes each id's action law and each child once; the
+batched simulator and :class:`CursorEnumeration`, which enumerates cursors
+forward one stage at a time merging (mass-summing) branches with equal
+keys, both run on it.
 """
 
 from __future__ import annotations
@@ -344,17 +346,104 @@ def sequence_as_controller(seq: SequenceStrategy, n_signals) -> FiniteStateContr
     return FiniteStateController(init_memory, rule, update)
 
 
+class CursorTable:
+    """Cursors interned by merge key to the dense ids ``0 .. len - 1``.
+
+    Each id's action law and each ``(id, action, signal)`` child are computed
+    once, on first request; equal keys behave alike on every continuation,
+    so this memo is exact.  Its users call :meth:`keep` with the ids they
+    still hold, so the table holds only live cursors.
+    """
+
+    def __init__(self, n_actions, n_signals):
+        self.n_signals = n_signals
+        self.n_codes = n_actions * n_signals
+        self.cursors = []
+        self.laws = {}      # id -> action law, once asked
+        self.ids = {}       # merge key -> id, in id order
+        # children[id, action * n_signals + signal] is the child id, -1
+        # until stepped; every id has a row, and rows past the last are spare
+        self.children = np.full((0, self.n_codes), -1)
+
+    def __len__(self):
+        return len(self.cursors)
+
+    def intern(self, cursor):
+        """The id of ``cursor``'s merge key, new keys taking this cursor."""
+        i = self.ids.setdefault(cursor.merge_key(), len(self.cursors))
+        if i == len(self.cursors):
+            self.cursors.append(cursor)
+            if i == len(self.children):
+                self.children = np.vstack([self.children,
+                                           np.full((i + 1, self.n_codes), -1)])
+        return i
+
+    def law(self, i):
+        """Id ``i``'s action law."""
+        law = self.laws.get(i)
+        if law is None:
+            law = self.laws[i] = self.cursors[i].action_distribution()
+        return law
+
+    def child(self, i, action, signal):
+        """The id of cursor ``i`` stepped by ``(action, signal)``."""
+        code = action * self.n_signals + signal
+        kid = int(self.children[i, code])
+        if kid < 0:
+            kid = self.intern(self.cursors[i].step(action, signal))
+            self.children[i, code] = kid
+        return kid
+
+    def children_of(self, ids, codes):
+        """Child ids for arrays of ids and codes ``action * n_signals +
+        signal``; each missing child is stepped once."""
+        kids = self.children[ids, codes]
+        missing = kids < 0
+        if missing.any():
+            parents, steps = np.divmod(
+                np.unique(ids[missing] * self.n_codes + codes[missing]), self.n_codes)
+            self.children[parents, steps] = [
+                self.intern(self.cursors[i].step(*divmod(code, self.n_signals)))
+                for i, code in zip(parents.tolist(), steps.tolist())]
+            kids = self.children[ids, codes]
+        return kids
+
+    def keep(self, held):
+        """Drop every id not in ``held`` and renumber the rest in order.
+
+        Returns the map from old to new ids (-1 for a dropped id), or None
+        when every id is held.
+        """
+        n = len(self.cursors)
+        live = np.zeros(n, dtype=bool)
+        live[held] = True
+        kept = np.flatnonzero(live)
+        if len(kept) == n:
+            return None
+        remap = np.full(n + 1, -1)  # the last entry maps -1 to -1
+        remap[kept] = np.arange(len(kept))
+        self.children = remap[self.children[kept]]
+        keys = list(self.ids)
+        self.cursors = [self.cursors[i] for i in kept.tolist()]
+        self.ids = {keys[i]: new for new, i in enumerate(kept.tolist())}
+        new_ids = remap.tolist()
+        self.laws = {new_ids[i]: law for i, law in self.laws.items()
+                     if new_ids[i] >= 0}
+        return remap
+
+
 class CursorEnumeration:
     """Forward enumeration of strategy cursors, one stage at a time.
 
-    A frontier maps a cursor merge key to ``(cursor, mass)``, ``mass`` the
-    vector over states of every branch with that key; cursors do not depend
-    on the state, so this merge is exact.  Each :meth:`visit` charges the
-    frontier to ``budget``.
+    A frontier maps a cursor id of :attr:`table` to the vector over states
+    of the mass of every branch whose cursor has that merge key; cursors do
+    not depend on the state, so this merge is exact.  Each :meth:`visit`
+    charges the frontier to ``budget``.
     """
 
     def __init__(self, model: PomdpModel, budget, what):
         self.signal_map = model.signal_map
+        self.table = CursorTable(model.n_actions, model.n_signals)
         self.budget = budget
         self.what = what
         self.visits = 0
@@ -363,22 +452,22 @@ class CursorEnumeration:
         """First-stage frontier: ``mass`` split by signal s, held by ``start(s)``."""
         frontier = {}
         for s, part in self._split(mass):
-            self.merge(frontier, start(s), part)
+            self.merge(frontier, self.table.intern(start(s)), part)
         return frontier
 
     def visit(self, frontier):
-        """Yield ``(cursor, mass, action law)`` for every frontier entry."""
+        """Yield ``(id, mass, action law)`` for every frontier entry."""
         self.visits += len(frontier)
         if self.visits > self.budget:
             raise BudgetExceeded(self.visits, self.budget, self.what)
-        for cursor, mass in frontier.values():
-            yield cursor, mass, cursor.action_distribution()
+        for i, mass in frontier.items():
+            yield i, mass, self.table.law(i)
 
-    def step(self, into, cursor, mass, alpha, kernel, *, action=None, signal=None):
-        """Push one cursor's mass through one stage into the frontier ``into``:
+    def step(self, into, i, mass, alpha, kernel, *, action=None, signal=None):
+        """Push cursor ``i``'s mass through one stage into the frontier ``into``:
         each action a in the support of ``alpha`` (or only ``action``) moves
         it to ``(mass @ kernel[:, a, :]) * alpha[a]``, split by next signal (or
-        kept on ``signal``) and merged under the key of the cursor stepped by
+        kept on ``signal``) and merged under the child of ``i`` by
         (a, signal)."""
         if action is None:
             actions = np.nonzero(alpha > 0.0)[0].tolist()
@@ -386,7 +475,17 @@ class CursorEnumeration:
             actions = [action] if alpha[action] > 0.0 else []
         for a in actions:
             for s, part in self._split((mass @ kernel[:, a, :]) * alpha[a], signal):
-                self.merge(into, cursor.step(a, s), part)
+                self.merge(into, self.table.child(i, a, s), part)
+
+    def keep(self, visited, *built):
+        """Keep in the table only the cursors of the frontier just visited and
+        of the ``built`` ones; returns the built frontiers under their new
+        ids."""
+        held = set(visited).union(*built)
+        if len(held) == len(self.table):
+            return built
+        remap = self.table.keep(list(held)).tolist()
+        return tuple({remap[i]: mass for i, mass in f.items()} for f in built)
 
     def _split(self, mass, signal=None):
         """``(s, mass on signal s)`` per signal carrying mass, in the order of its
@@ -401,14 +500,12 @@ class CursorEnumeration:
                 yield s, part
 
     @staticmethod
-    def merge(frontier, cursor, mass):
-        """Add ``mass`` to the frontier entry under ``cursor``'s key."""
-        key = cursor.merge_key()
-        entry = frontier.get(key)
-        if entry is None:
-            frontier[key] = (cursor, mass)
+    def merge(frontier, i, mass):
+        """Add ``mass`` to the frontier entry of id ``i``."""
+        if i in frontier:
+            frontier[i] += mass
         else:
-            entry[1][:] += mass
+            frontier[i] = mass
 
 
 def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,
@@ -428,12 +525,14 @@ def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,
     frontier = enum.open(model.init, lambda s: ReplayCursor(strategy, History(s)))
     for _ in range(depth - 1):
         grown = {}
-        for cursor, mass, alpha in enum.visit(frontier):
-            enum.step(grown, cursor, mass, alpha, model.transition)
-        frontier = grown
+        for i, mass, alpha in enum.visit(frontier):
+            enum.step(grown, i, mass, alpha, model.transition)
+        frontier, = enum.keep(frontier, grown)
 
     out = {}
-    for hist, (_, state_probs) in frontier.items():
+    histories = list(enum.table.ids)
+    for i, state_probs in frontier.items():
+        hist = histories[i]
         for w in np.nonzero(state_probs > 0.0)[0]:
             out[(hist, int(w))] = float(state_probs[int(w)])
     return out

@@ -127,8 +127,10 @@ def test_fsc_strategy_file(capsys, tmp_path):
      "--mc", "10", "--horizon", "0"],
     ["sweep", "{fig1}", "--h-grid", "0.5", "--lambda-grid", "0.01,0.1",
      "--csv", "{csv}"],
+    ["mimic", "{fig1}", "--h", "0.5", "--strategy", "seq:a,b", "--history", "s1",
+     "--n-max", "0"],
 ], ids=["transform-h", "mimic-h", "evaluate-lambda", "evaluate-horizon",
-        "sweep-lambda-grid"])
+        "sweep-lambda-grid", "mimic-n-max"])
 def test_out_of_range_input_exit_2(capsys, fig1_file, tmp_path, argv):
     # a value the library rejects is an input error, not a failed check
     argv = [a.format(fig1=fig1_file, csv=tmp_path / "out.csv") for a in argv]

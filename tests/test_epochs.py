@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stagepomdp.epochs import (
     _cdf,
+    _CursorMemory,
     _draw,
     epoch_memory_operator,
     geometric_tail,
@@ -15,10 +18,11 @@ from stagepomdp.epochs import (
     simulate_gh,
     worker_rng,
 )
-from stagepomdp.evaluate import controller_product_chain
-from stagepomdp.mimic import build_mimic_strategy
+from stagepomdp.evaluate import controller_product_chain, discounted_payoff
+from stagepomdp.mimic import build_mimic_strategy, filtered_joint, mimic_action_exact
 from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
+    CursorEnumeration,
     FiniteStateController,
     History,
     ReplayCursor,
@@ -268,15 +272,21 @@ def test_opaque_deterministic_controller_plays_as_bare(make, k):
 
 
 class CountingOpaque(Strategy):
-    """Opaque wrapper whose cursors log (stage, merge key) per action law."""
+    """Opaque wrapper whose cursors log (stage, merge key) per action law and
+    (merge key, action, signal) per step; ``act`` logs (stage, history)."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n_actions = inner.n_actions
         self.calls = []
+        self.steps = []
 
     def start(self, first_signal):
         return _CountingCursor(self, self.inner.start(first_signal), 0)
+
+    def act(self, history):
+        self.calls.append((history.length - 1, history))
+        return self.inner.act(history)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,6 +300,7 @@ class _CountingCursor(StrategyCursor):
         return self.inner.action_distribution()
 
     def step(self, action, signal):
+        self.owner.steps.append((self.merge_key(), action, signal))
         return _CountingCursor(self.owner, self.inner.step(action, signal),
                                self.stage + 1)
 
@@ -304,6 +315,62 @@ def test_cursor_plays_share_action_laws():
     # at most one call per distinct key per stage, not one per play-stage
     assert len(set(strategy.calls)) == len(strategy.calls)
     assert len(strategy.calls) <= 50 * alternating_controller(m).n_memory
+
+
+@pytest.mark.parametrize("route", ["mimic", "truncated", "histories"])
+def test_enumerators_ask_each_key_once(route):
+    # within an epoch the frontier returns to the same keys at every stage;
+    # the cursor table asks each key's law and steps each (key, action,
+    # signal) once per call (the history distribution's keys are whole
+    # histories, each asked once through ``act``)
+    m = random_pomdp_model()
+    strategy = CountingOpaque(alternating_controller(m))
+    if route == "mimic":
+        mimic_action_exact(m, strategy, 0.5, History(0, ((0, 1), (1, 0))))
+    elif route == "truncated":
+        discounted_payoff(m, strategy, 0.3, 0.5)
+    else:
+        exact_history_distribution(m, strategy, 4)
+    keys = [key for _, key in strategy.calls]
+    assert keys and len(set(keys)) == len(keys)
+    assert len(set(strategy.steps)) == len(strategy.steps)
+
+
+def test_cursor_table_holds_only_live_cursors(monkeypatch):
+    # posterior cursors of a stochastic-update controller never merge, so a
+    # table that kept every key would grow with every stage
+    m = random_pomdp_model()
+    strategy = Opaque(stochastic_update_controller(m))
+    sizes = []
+
+    def tally(method):
+        def checked(self, *args):
+            held = method(self, *args)
+            sizes.append((len(self.table), len(np.unique(held))))
+            return held
+        return checked
+
+    monkeypatch.setattr(_CursorMemory, "start", tally(_CursorMemory.start))
+    monkeypatch.setattr(_CursorMemory, "step", tally(_CursorMemory.step))
+    simulate_batch(m, strategy, 0.5, 300, worker_rng(48, 0), sums_at=[10], epochs=2)
+    assert len(sizes) >= 10
+    assert all(size == held for size, held in sizes)
+
+    keep = CursorEnumeration.keep
+    live = []
+
+    def checked_keep(self, visited, *built):
+        n_held = len(set(visited).union(*built))
+        out = keep(self, visited, *built)
+        live.append((len(self.table), n_held))
+        return out
+
+    monkeypatch.setattr(CursorEnumeration, "keep", checked_keep)
+    filtered_joint(m, strategy, 0.5, History(0, ((1, 1),)), n_max=6)
+    discounted_payoff(m, strategy, 1.0, 0.5, tol=0.05)
+    exact_history_distribution(m, strategy, 4)
+    assert len(live) >= 10
+    assert all(size == held for size, held in live)
 
 
 class SignalParity(Strategy):
@@ -335,6 +402,70 @@ def test_table_source_mimic_has_controller():
     assert table_mimic.controller(m.n_signals) is not None
     opaque_mimic = build_mimic_strategy(m, Opaque(small_table()), 0.5)
     assert opaque_mimic.controller(m.n_signals) is None
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def dense_model():
+    """Seeded 4-state, 2-signal POMDP with no zero transition."""
+    rng = np.random.default_rng(31)
+    raw = rng.uniform(0.05, 1.0, size=(4, 2, 4))
+    return make_model(["w1", "w2", "w3", "w4"], ["a", "b"], ["s1", "s2"],
+                      [0, 1, 1, 0], rng.uniform(0.0, 1.0, size=(4, 2)),
+                      raw / raw.sum(axis=2, keepdims=True), [0.4, 0.3, 0.2, 0.1])
+
+
+def opaque_route_quantities():
+    """Outputs of every route that reaches opaque cursors: enumerated mimic
+    joints, truncated discounted payoffs, exact history distributions (in
+    their order) and every ``PlayBatch`` field at k = 0 and k = 3.
+
+    Per strategy: the joints' ``n_max``, the payoff's ``tol`` and the plays.
+    Only the first two strategies merge cursors; the others get short
+    horizons, and the mimic, whose every action law is an enumeration of
+    its own, the shortest.
+    """
+    out = []
+    for model_name, m in (("figure1", figure1_model()),
+                          ("random_pomdp", random_pomdp_model()),
+                          ("dense", dense_model())):
+        strategies = {
+            "opaque_alternating": (Opaque(alternating_controller(m)), 6, 1e-9, 40),
+            "opaque_mixing": (Opaque(mixing_controller(m)), 6, 1e-9, 40),
+            "opaque_stochastic_update": (
+                Opaque(stochastic_update_controller(m)), 4, 0.05, 40),
+            "signal_parity": (SignalParity(), 4, 0.05, 40),
+            "opaque_source_mimic": (build_mimic_strategy(
+                m, Opaque(mixing_controller(m)), 0.9, n_max=12), 2, 0.3, 3),
+        }
+        fils = [History(s) for s in range(m.n_signals)]
+        fils += [h.child(a, s) for h in fils for a in range(2)
+                 for s in range(m.n_signals)]
+        for name, (strategy, n_max, tol, n_plays) in strategies.items():
+            record = {"model": model_name, "strategy": name, "joints": []}
+            for fil in fils:
+                joint, bound = filtered_joint(m, strategy, 0.5, fil, n_max=n_max)
+                record["joints"].append([joint.tolist(), bound])
+            payoff = discounted_payoff(m, strategy, 1.0, 0.5, tol=tol)
+            record["discounted"] = [payoff.value, payoff.bound,
+                                    payoff.metadata["horizon"]]
+            record["histories"] = [
+                [hist.first_signal, [list(step) for step in hist.steps], w, p]
+                for (hist, w), p in exact_history_distribution(m, strategy, 3).items()]
+            for k in (0, 3):
+                plays = simulate_batch(m, strategy, 0.5, n_plays, worker_rng(47, k),
+                                       sums_at=[3, 8], stage_weights=0.9 ** np.arange(8),
+                                       epochs=k)
+                record[f"plays_k{k}"] = {field.name: getattr(plays, field.name).tolist()
+                                         for field in dataclasses.fields(plays)}
+            out.append(record)
+    return out
+
+
+def test_opaque_routes_match_golden():
+    golden = json.loads((GOLDEN / "opaque_routes.json").read_text())
+    assert opaque_route_quantities() == golden
 
 
 def test_draw_never_lands_on_zero_probability_tail():

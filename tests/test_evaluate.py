@@ -168,6 +168,17 @@ class Opaque(Strategy):
         return self.inner.start(first_signal)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_discounted_rejects_bad_tol(method, tol):
+    # the truncated and Monte Carlo routes raised "math domain error" at
+    # tol 0, and the exact controller route ignored tol
+    m = random_pomdp_model()
+    for strategy in (mixing_controller(m), Opaque(mixing_controller(m))):
+        with pytest.raises(ValueError, match="tol"):
+            discounted_payoff(m, strategy, 0.2, 0.5, method, tol=tol, n_traj=10)
+
+
 def test_exact_longrun_rejects_general_strategy():
     m = figure1_model()
     table = TableStrategy(2, 1, {History(0): [1.0, 0.0]})

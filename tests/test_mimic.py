@@ -15,6 +15,7 @@ from stagepomdp.evaluate import (
     machine_product_chain,
 )
 from stagepomdp.mimic import (
+    MimicStrategy,
     build_filter_machine,
     build_mimic_strategy,
     default_truncation,
@@ -434,6 +435,33 @@ def test_null_history_uniform_fallback():
         result = mimic_action_exact(m, source, 0.5, History(1), n_max=20)
         assert result.is_fallback
         assert np.array_equal(result.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_n_max_below_one_rejected(n_max):
+    # an opaque source used to return the uniform fallback as a null event
+    m = random_pomdp_model()
+    for source in (alternating_controller(m), Opaque(alternating_controller(m))):
+        for call in (lambda: mimic_action_exact(m, source, 0.5, History(0), n_max),
+                     lambda: filtered_joint(m, source, 0.5, History(0), n_max),
+                     lambda: MimicStrategy(m, source, 0.5, n_max),
+                     lambda: build_mimic_strategy(m, source, 0.5, n_max)):
+            with pytest.raises(ValueError, match="n_max"):
+                call()
+
+
+@pytest.mark.parametrize("fil", [History(5), History(0, ((7, 0),)),
+                                 History(0, ((0, 2),)), History(-1)],
+                         ids=["signal", "action", "step-signal", "negative"])
+def test_filtered_history_out_of_range_rejected(fil):
+    # the controller route raised IndexError (or wrapped a negative index),
+    # the opaque route returned the uniform fallback
+    m = random_pomdp_model()
+    for source in (alternating_controller(m), Opaque(alternating_controller(m))):
+        with pytest.raises(ValueError, match="out of range"):
+            mimic_action_exact(m, source, 0.5, fil)
+        with pytest.raises(ValueError, match="out of range"):
+            build_mimic_strategy(m, source, 0.5).act(fil)
 
 
 def test_truncation_dominates_raised():
