@@ -270,13 +270,15 @@ class _CursorMemory:
     """Each play's id in a :class:`~stagepomdp.strategies.CursorTable` of the
     strategy's cursors, kept to the ids the plays hold; equal keys behave
     alike on every continuation, so plays sharing an id keep the strategy's
-    law.  An id's action-CDF row is built once."""
+    law.  An id's action-CDF row is built once; rows past the table's last
+    id are spare."""
 
     def __init__(self, model, strategy):
         self.strategy = strategy
         self.n_signals = model.n_signals
         self.table = CursorTable(model.n_actions, model.n_signals)
-        self.action_cdf = np.empty((0, model.n_actions))
+        self.action_cdf = np.ones((1, model.n_actions))
+        self.n_rows = 0
 
     def start(self, signals):
         first = np.zeros(self.n_signals, dtype=np.int64)
@@ -285,18 +287,26 @@ class _CursorMemory:
         return first[signals]
 
     def action_rows(self, memory):
-        new = self.table.cursors[len(self.action_cdf):]
-        if new:
-            laws = np.array([cursor.action_distribution() for cursor in new])
-            self.action_cdf = np.vstack([self.action_cdf, _cdf(laws)])
+        n = len(self.table)
+        if n > self.n_rows:
+            laws = [cursor.action_distribution()
+                    for cursor in self.table.cursors[self.n_rows:]]
+            while n > len(self.action_cdf):
+                self.action_cdf = np.vstack([self.action_cdf, self.action_cdf])
+            self.action_cdf[self.n_rows:n] = _cdf(np.array(laws))
+            self.n_rows = n
         return self.action_cdf[memory]
 
     def step(self, memory, action, signals, u):
-        held = self.table.children_of(memory, action * self.n_signals + signals)
-        remap = self.table.keep(held)
+        table = self.table
+        held = table.children_of(memory * table.n_codes + action * self.n_signals
+                                 + signals)
+        remap = table.keep(held)
         if remap is None:
             return held
-        self.action_cdf = self.action_cdf[remap[:len(self.action_cdf)] >= 0]
+        kept = (remap[:self.n_rows] >= 0).nonzero()[0]
+        self.action_cdf[:len(kept)] = self.action_cdf[kept]
+        self.n_rows = len(kept)
         return remap[held]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -363,7 +364,7 @@ class CursorTable:
         self.ids = {}       # merge key -> id, in id order
         # children[id, action * n_signals + signal] is the child id, -1
         # until stepped; every id has a row, and rows past the last are spare
-        self.children = np.full((0, self.n_codes), -1)
+        self.children = np.full((1, self.n_codes), -1)
 
     def __len__(self):
         return len(self.cursors)
@@ -374,8 +375,7 @@ class CursorTable:
         if i == len(self.cursors):
             self.cursors.append(cursor)
             if i == len(self.children):
-                self.children = np.vstack([self.children,
-                                           np.full((i + 1, self.n_codes), -1)])
+                self.children = np.vstack([self.children, np.full_like(self.children, -1)])
         return i
 
     def law(self, i):
@@ -394,18 +394,19 @@ class CursorTable:
             self.children[i, code] = kid
         return kid
 
-    def children_of(self, ids, codes):
-        """Child ids for arrays of ids and codes ``action * n_signals +
-        signal``; each missing child is stepped once."""
-        kids = self.children[ids, codes]
+    def children_of(self, codes):
+        """Child ids for an array of codes ``id * n_codes + action * n_signals
+        + signal``; each missing child is stepped once."""
+        kids = self.children.take(codes)
         missing = kids < 0
         if missing.any():
-            parents, steps = np.divmod(
-                np.unique(ids[missing] * self.n_codes + codes[missing]), self.n_codes)
-            self.children[parents, steps] = [
-                self.intern(self.cursors[i].step(*divmod(code, self.n_signals)))
-                for i, code in zip(parents.tolist(), steps.tolist())]
-            kids = self.children[ids, codes]
+            wanted = np.zeros(self.children.size, dtype=bool)
+            wanted[codes[missing]] = True
+            new = wanted.nonzero()[0]
+            found = [self.intern(self.cursors[i].step(*divmod(code, self.n_signals)))
+                     for i, code in map(divmod, new.tolist(), repeat(self.n_codes))]
+            self.children.put(new, found)
+            kids = self.children.take(codes)
         return kids
 
     def keep(self, held):
@@ -415,20 +416,23 @@ class CursorTable:
         when every id is held.
         """
         n = len(self.cursors)
-        live = np.zeros(n, dtype=bool)
+        live = np.zeros(n + 1, dtype=bool)
         live[held] = True
-        kept = np.flatnonzero(live)
-        if len(kept) == n:
+        remap = live.cumsum() - 1
+        if remap[-1] + 1 == n:
             return None
-        remap = np.full(n + 1, -1)  # the last entry maps -1 to -1
-        remap[kept] = np.arange(len(kept))
-        self.children = remap[self.children[kept]]
+        remap[~live] = -1  # the last entry, never live, maps -1 to -1
+        kept = live.nonzero()[0]
+        self.children[:len(kept)] = remap[self.children[kept]]
+        self.children[len(kept):n] = -1
         keys = list(self.ids)
-        self.cursors = [self.cursors[i] for i in kept.tolist()]
-        self.ids = {keys[i]: new for new, i in enumerate(kept.tolist())}
-        new_ids = remap.tolist()
-        self.laws = {new_ids[i]: law for i, law in self.laws.items()
-                     if new_ids[i] >= 0}
+        kept = kept.tolist()
+        self.cursors = [self.cursors[i] for i in kept]
+        self.ids = {keys[i]: new for new, i in enumerate(kept)}
+        if self.laws:
+            new_ids = remap.tolist()
+            self.laws = {new_ids[i]: law for i, law in self.laws.items()
+                         if new_ids[i] >= 0}
         return remap
 
 

@@ -18,6 +18,7 @@ from stagepomdp.epochs import (
     simulate_gh,
     worker_rng,
 )
+from stagepomdp.errors import BudgetExceeded
 from stagepomdp.evaluate import controller_product_chain, discounted_payoff
 from stagepomdp.mimic import build_mimic_strategy, filtered_joint, mimic_action_exact
 from stagepomdp.model import make_model, stage_duration_transform
@@ -371,6 +372,22 @@ def test_cursor_table_holds_only_live_cursors(monkeypatch):
     exact_history_distribution(m, strategy, 4)
     assert len(live) >= 10
     assert all(size == held for size, held in live)
+
+
+@pytest.mark.parametrize("route, needed", [("joint", 90), ("truncated", 170),
+                                           ("histories", 192)])
+def test_budgets_charge_one_visit_per_frontier_entry(route, needed):
+    # the budgets each enumerator needed when frontiers held cursors by key
+    m = random_pomdp_model()
+    strategy = Opaque(mixing_controller(m))
+    call = {"joint": lambda b: filtered_joint(m, strategy, 0.5, History(0, ((1, 1),)),
+                                              n_max=30, budget=b),
+            "truncated": lambda b: discounted_payoff(m, strategy, 0.3, 0.5, budget=b),
+            "histories": lambda b: exact_history_distribution(m, strategy, 4,
+                                                              budget=b)}[route]
+    call(needed)
+    with pytest.raises(BudgetExceeded):
+        call(needed - 1)
 
 
 class SignalParity(Strategy):
