@@ -9,9 +9,11 @@ epoch lengths are i.i.d. geometric(h).
 Simulating the duration-h model via (base P, marks) instead of the mixed
 kernel gives the same law and exposes the epoch structure directly.
 :func:`simulate_batch` is the one Monte Carlo loop: all plays advance at
-once, each holding a controller memory or the id of an opaque strategy's
-cursor in a :class:`~stagepomdp.strategies.CursorTable`, so that a stage is
-array indexing either way.
+once, each as one index of its state, memory and action.  A strategy with
+a controller moves it by one draw per stage from the controller's product
+kernel, built once per call; an opaque strategy's plays hold the ids of its
+cursors in a :class:`~stagepomdp.strategies.CursorTable` and draw action,
+transition and cursor step in turn.
 """
 
 from __future__ import annotations
@@ -203,14 +205,14 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     stages, its k epoch lengths drawn first as in :func:`simulate_epochs_gh`.
     Only the first ``max(sums_at)`` of ``stage_weights`` are used.
 
-    All plays run at once: state and strategy memory are arrays over the
-    plays and every draw is an inverse-CDF lookup.  A strategy with a
-    controller (``strategy.controller``: controllers, sequences, tables and
-    controller-source mimics) samples its controller memory; an opaque
-    strategy's plays hold ids in a table of its cursors, one per distinct
-    merge key, shared by every play whose history reached that key.  A
-    controller with deterministic updates draws the same numbers behind an
-    opaque wrapper as bare.
+    All plays run at once, each as one index x = (s·Q + m)·A + a of its
+    state, memory and action.  A strategy with a controller
+    (``strategy.controller``: controllers, sequences, tables and
+    controller-source mimics) moves x by one inverse-CDF draw per stage from
+    the controller's product kernel; an opaque strategy's plays hold ids in
+    a table of its cursors, one per distinct merge key, shared by every play
+    whose history reached that key, and draw action, transition and cursor
+    step in turn.
     """
     h = validate_stage_duration(h)
     if n_plays < 1:
@@ -227,8 +229,9 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
         raise ValueError(f"{len(stage_weights)} stage weights, {horizon} stages")
     rng = as_generator(seed_or_rng)
     controller = controller_for(model, strategy)
-    memory = (_CursorMemory(model, strategy) if controller is None
-              else _ControllerMemory(controller))
+    memory = (_CursorMemory(model, strategy, h, epochs > 0, rng)
+              if controller is None
+              else _ControllerMemory(model, controller, h, epochs > 0, rng))
     return _batched_plays(model, memory, h, n_plays, rng, sums_at,
                           stage_weights, epochs, horizon)
 
@@ -248,22 +251,117 @@ def _draw(cdf_rows, u):
     return (cdf_rows > u).argmax(axis=1)
 
 
+#: uniforms the controller kernel draws at once, about 1 MB of them
+UNIFORM_BLOCK = 1 << 17
+
+
+def _members(counts, groups):
+    """Indices of every member of each entry's group, in order: group g's
+    members are ``counts[:g].sum()`` onward.  Returns ``(sizes, members)``,
+    entry i owning the next ``sizes[i]`` indices of ``members``."""
+    sizes = counts[groups]
+    shift = (np.cumsum(counts) - counts)[groups] - (np.cumsum(sizes) - sizes)
+    return sizes, np.arange(sizes.sum()) + np.repeat(shift, sizes)
+
+
+def _product_kernel(transitions, controller, signal_map):
+    """Row-offset inverse-CDF table of the controller's product kernel.
+
+    Block b's row x = (s·Q + m)·A + a has the law
+    K_b[x, (s'·Q + m')·A + a'] = T_b[s, a, s'] · update[m, a, σ(s'), m'] ·
+    rule[m', a'] for the kernels T_b = ``transitions[b]`` of shape (S, A, S).
+    Only the positive entries are built, straight from the supports of T,
+    update and rule, in row order and within a row in column order.  Row
+    r = x + n_x·b ends at entry ``last[r]``; ``cols`` holds the entries'
+    columns and ``keys`` r plus the row's cumulative law, the row's last key
+    exactly r + 1.  Returns ``(keys, cols, last)``.
+    """
+    n_q, n_a = controller.rule.shape
+    n_sig = controller.n_signals
+    n_b, n_s = transitions.shape[:2]
+    upd_q, upd_a, upd_s, upd_next = np.nonzero(controller.update)
+    upd_counts = np.bincount((upd_q * n_a + upd_a) * n_sig + upd_s,
+                             minlength=n_q * n_a * n_sig)
+    upd_vals = controller.update[upd_q, upd_a, upd_s, upd_next]
+    rule_q, rule_a = np.nonzero(controller.rule)
+    rule_counts = np.bincount(rule_q, minlength=n_q)
+    rule_vals = controller.rule[rule_q, rule_a]
+    # (b, s, m, a, s') for every memory and every T_b[s, a, s'] > 0, in order
+    b, s, m, a, s_next = np.nonzero(np.broadcast_to(
+        (transitions > 0.0)[:, :, None], (n_b, n_s, n_q, n_a, n_s)))
+    sizes, j = _members(upd_counts, (m * n_a + a) * n_sig + signal_map[s_next])
+    row = np.repeat(((b * n_s + s) * n_q + m) * n_a + a, sizes)
+    mid = np.repeat(s_next * n_q, sizes) + upd_next[j]
+    mass = np.repeat(transitions[b, s, a, s_next], sizes) * upd_vals[j]
+    sizes, j = _members(rule_counts, upd_next[j])
+    n_rows = n_b * n_s * n_q * n_a
+    row_sizes = np.bincount(row, weights=sizes, minlength=n_rows).astype(np.int64)
+    cols = np.repeat(mid * n_a, sizes) + rule_a[j]
+    keys = np.cumsum(np.repeat(mass, sizes) * rule_vals[j])
+    last = np.cumsum(row_sizes) - 1
+    keys -= np.repeat(np.concatenate(([0.0], keys[last[:-1]])), row_sizes)
+    np.minimum(keys, 1.0, out=keys)
+    keys += np.repeat(np.arange(n_rows), row_sizes)
+    keys[last] = np.arange(1, n_rows + 1)
+    return keys, cols, last
+
+
+def _kernel_draw(keys, cols, last, rows, u):
+    """One draw per row index of ``rows`` from a :func:`_product_kernel` table,
+    for uniforms ``u`` in [0, 1).  ``rows + u`` rounds to ``rows + 1`` for u
+    close enough to 1, so a search past a row's end lands on its last entry."""
+    found = np.searchsorted(keys, rows + u, side="right")
+    return cols[np.minimum(found, last[rows])]
+
+
 class _ControllerMemory:
-    """Each play's controller memory, drawn from the update rows."""
+    """Each play's index x = (s·Q + m)·A + a, moved one stage by one draw from
+    the controller's :func:`_product_kernel`: without pinned epochs over the
+    duration-h transition, with them over two blocks, frozen (T = identity)
+    and marked (T = base P), a marked play reading row x + n_x.  Uniforms
+    come a block of stages at a time, about :data:`UNIFORM_BLOCK` of them."""
 
-    def __init__(self, controller):
-        self.init_memory = controller.init_memory
-        self.action_cdf = _cdf(controller.rule)
-        self.update_cdf = _cdf(controller.update)
+    def __init__(self, model, controller, h, marked, rng):
+        self.rng = rng
+        self.n_memory = controller.n_memory
+        self.n_x = model.n_states * controller.n_memory * model.n_actions
+        self.n_draws = 2 if marked else 1
+        if marked:
+            frozen = np.broadcast_to(np.eye(model.n_states)[:, None],
+                                     model.transition.shape)
+            transitions = np.stack([frozen, model.transition])
+        else:
+            transitions = stage_duration_transform(model, h).transition[None]
+        self.keys, self.cols, self.last = _product_kernel(
+            transitions, controller, model.signal_map)
+        start_memory = controller.init_memory[model.signal_map]
+        law = np.zeros((model.n_states, controller.n_memory, model.n_actions))
+        law[np.arange(model.n_states), start_memory] = (
+            model.init[:, None] * controller.rule[start_memory])
+        self.init_cdf = _cdf(law.reshape(-1))
 
-    def start(self, signals):
-        return self.init_memory[signals]
+    def open(self, n_plays, n_steps):
+        self.block = max(1, min(n_steps, UNIFORM_BLOCK // (self.n_draws * n_plays)))
+        self.n_plays, self.n_left = n_plays, n_steps
+        self.u, self.at = np.empty((0,)), 0
+        return np.searchsorted(self.init_cdf, self.rng.random(n_plays), side="right")
 
-    def action_rows(self, memory):
-        return self.action_cdf[memory]
+    def _stage(self):
+        if self.at == len(self.u):
+            self.u = self.rng.random((min(self.block, self.n_left), self.n_draws,
+                                      self.n_plays))
+            self.at = 0
+        return self.u[self.at]
 
-    def step(self, memory, action, signals, u):
-        return _draw(self.update_cdf[memory, action, signals], u)
+    def mark_uniforms(self):
+        return self._stage()[1]
+
+    def advance(self, x, mark):
+        u = self._stage()[0]
+        self.at += 1
+        self.n_left -= 1
+        rows = x if mark is None else x + self.n_x * mark
+        return _kernel_draw(self.keys, self.cols, self.last, rows, u)
 
 
 class _CursorMemory:
@@ -271,14 +369,49 @@ class _CursorMemory:
     strategy's cursors, kept to the ids the plays hold; equal keys behave
     alike on every continuation, so plays sharing an id keep the strategy's
     law.  An id's action-CDF row is built once; rows past the table's last
-    id are spare."""
+    id are spare.  A play's index is x = s·A + a; each stage draws its
+    action, transition, cursor step and mark from one block of uniforms."""
 
-    def __init__(self, model, strategy):
+    n_memory = 1
+
+    def __init__(self, model, strategy, h, marked, rng):
         self.strategy = strategy
+        self.rng = rng
+        self.model = model
         self.n_signals = model.n_signals
+        self.n_uniforms = 4 if marked else 3
+        # without pinned epochs a mark is a Bernoulli(h) draw independent of
+        # the rest, so the duration-h kernel folds it into the transition draw
+        kernel = (model.transition if marked
+                  else stage_duration_transform(model, h).transition)
+        self.transition_cdf = _cdf(kernel)
         self.table = CursorTable(model.n_actions, model.n_signals)
         self.action_cdf = np.ones((1, model.n_actions))
         self.n_rows = 0
+
+    def open(self, n_plays, n_steps):
+        init_cdf = np.broadcast_to(_cdf(self.model.init),
+                                   (n_plays, self.model.n_states))
+        state = _draw(init_cdf, self.rng.random((n_plays, 1)))
+        self.held = self.start(self.model.signal_map[state])
+        return self._act(state)
+
+    def _act(self, state):
+        self.u = self.rng.random((self.n_uniforms, len(state), 1))
+        action = _draw(self.action_rows(self.held), self.u[0])
+        return state * self.model.n_actions + action
+
+    def mark_uniforms(self):
+        return self.u[3, :, 0]
+
+    def advance(self, x, mark):
+        state, action = np.divmod(x, self.model.n_actions)
+        moved = _draw(self.transition_cdf[state, action], self.u[1])
+        if mark is not None:
+            moved = np.where(mark, moved, state)
+        self.held = self.step(self.held, action, self.model.signal_map[moved],
+                              self.u[2])
+        return self._act(moved)
 
     def start(self, signals):
         first = np.zeros(self.n_signals, dtype=np.int64)
@@ -312,61 +445,54 @@ class _CursorMemory:
 
 def _batched_plays(model, memory, h, n_plays, rng, sums_at, stage_weights,
                    k, horizon):
-    rows = np.arange(n_plays)
-    signal_map, payoff = model.signal_map, model.payoff
-    # without pinned epochs a mark is a Bernoulli(h) draw independent of
-    # the rest, so the duration-h kernel folds it into the transition draw
-    kernel = model.transition if k else stage_duration_transform(model, h).transition
-    transition_cdf = _cdf(kernel)
     columns = {}
     for c, t in enumerate(sums_at.tolist()):
         columns.setdefault(t, []).append(c)
 
-    # bounds[:, i] = T_i; the last column is a sentinel no stage number meets,
-    # so a play past T_k draws its marks afresh
-    bounds = np.zeros((n_plays, k + 2), dtype=np.int64)
-    bounds[:, -1] = -1
+    # bounds[:, i] = T_i
+    bounds = np.zeros((n_plays, k + 1), dtype=np.int64)
     if k:
         lengths = sample_epochs(h, n_plays * k, rng).lengths.reshape(n_plays, k)
-        np.cumsum(lengths, axis=1, out=bounds[:, 1:k + 1])
-    n_stages = max(horizon, int(bounds[:, k].max()))
+        np.cumsum(lengths, axis=1, out=bounds[:, 1:])
+    t_k = bounds[:, k]
+    n_stages = max(horizon, int(t_k.max()))
 
     sums = np.zeros((n_plays, sums_at.size))
     total = np.zeros(n_plays)
-    # column k of the epoch records collects the stages after T_k
-    epoch = np.zeros(n_plays, dtype=np.int64)
-    epoch_states = np.zeros((n_plays, k + 1), dtype=np.int64)
-    epoch_actions = np.zeros((n_plays, k + 1), dtype=np.int64)
+    # flat position of each play's current epoch record; column k collects
+    # the stages after T_k
+    at = np.arange(n_plays) * (k + 1)
+    epoch_x = np.zeros((n_plays, k + 1), dtype=np.int64)
     epoch_sums = np.zeros((n_plays, k + 1))
+    flat_x, flat_sums = epoch_x.reshape(-1), epoch_sums.reshape(-1)
+    # next_bound[at + 1] is the end T_(i+1) of the epoch i a play is in, or
+    # 0 past T_k, so a play past T_k draws its marks afresh
+    next_bound = np.append(bounds.reshape(-1), 0)
 
-    init_cdf = np.broadcast_to(_cdf(model.init), (n_plays, model.n_states))
-    state = _draw(init_cdf, rng.random((n_plays, 1)))
-    held = memory.start(signal_map[state])
+    n_q, n_a = memory.n_memory, model.n_actions
+    payoff = np.repeat(model.payoff[:, None], n_q, axis=1).reshape(-1)
+    x = memory.open(n_plays, n_stages - 1)
     for j in range(n_stages):
-        u = rng.random((4 if k else 3, n_plays, 1))
-        action = _draw(memory.action_rows(held), u[0])
-        stage_payoff = payoff[state, action]
+        stage_payoff = payoff[x]
         if j < horizon:
             total += (stage_payoff if stage_weights is None
                       else stage_weights[j] * stage_payoff)
         if j + 1 in columns:
             sums[:, columns[j + 1]] = total[:, None]
         if k:
-            epoch_states[rows, epoch] = state
-            epoch_actions[rows, epoch] = action
-            epoch_sums[rows, epoch] += stage_payoff
+            flat_x[at] = x
+            flat_sums[at] += stage_payoff
         if j + 1 == n_stages:
             break
-        moved = _draw(transition_cdf[state, action], u[1])
+        mark = None
         if k:
-            free = epoch == k
-            mark = (bounds[rows, epoch + 1] == j + 1) | (free & (u[3, :, 0] < h))
-            epoch += mark & ~free
-            moved = np.where(mark, moved, state)
-        state = moved
-        held = memory.step(held, action, signal_map[state], u[2])
-    return PlayBatch(sums, bounds[:, :k + 1], epoch_states[:, :k],
-                     epoch_actions[:, :k], epoch_sums[:, :k])
+            pinned = next_bound[at + 1] == j + 1
+            mark = pinned | ((t_k <= j) & (memory.mark_uniforms() < h))
+            at += pinned
+        x = memory.advance(x, mark)
+    epoch_x = epoch_x[:, :k]
+    return PlayBatch(sums, bounds, epoch_x // (n_q * n_a), epoch_x % n_a,
+                     epoch_sums[:, :k])
 
 
 def epoch_memory_operator(matrix, h):

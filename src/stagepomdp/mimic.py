@@ -229,6 +229,16 @@ def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistor
     return MimicStrategy(model, strategy, h, n_max, budget).filtered_joint(fil)
 
 
+def _check_range(model: PomdpModel, fil: FilteredHistory):
+    """Raise ValueError when an action or signal of ``fil`` is out of the
+    model's range."""
+    n_a, n_s = model.n_actions, model.n_signals
+    if not (0 <= fil.first_signal < n_s
+            and all(0 <= a < n_a and 0 <= s < n_s for a, s in fil.steps)):
+        raise ValueError(f"filtered history {fil} is out of range for "
+                         f"{n_a} actions and {n_s} signals")
+
+
 def _conditional(joint, bound) -> MimicAction:
     """Boundary-action law conditioned on a joint's mass; uniform when null."""
     mass = float(joint.sum())
@@ -257,10 +267,12 @@ def mimic_action_mc(model: PomdpModel, strategy: Strategy, h,
     """Estimate the mimic action by conditional simulation.
 
     Simulates plays of the duration-h model out to the k-th epoch boundary
-    and keeps those whose filtered history matches.
+    and keeps those whose filtered history matches.  An action or signal of
+    ``fil`` out of the model's range raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    _check_range(model, fil)
     k = fil.length
     plays = simulate_batch(model, strategy, h, n_samples, seed_or_rng, epochs=k)
     signals = model.signal_map[plays.epoch_states]
@@ -341,11 +353,7 @@ class MimicStrategy(Strategy):
         when the source has a controller form, otherwise truncated
         enumeration.  An action or signal of ``fil`` out of the model's range
         raises ValueError."""
-        n_a, n_s = self.n_actions, self.model.n_signals
-        if not (0 <= fil.first_signal < n_s
-                and all(0 <= a < n_a and 0 <= s < n_s for a, s in fil.steps)):
-            raise ValueError(f"filtered history {fil} is out of range for "
-                             f"{n_a} actions and {n_s} signals")
+        _check_range(self.model, fil)
         if self.engine is not None:
             filt, signal = self.engine.filtered_forward(fil)
             return self.engine.boundary_joint(filt, signal), 0.0

@@ -27,7 +27,6 @@ from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
     History,
     SequenceStrategy,
-    Strategy,
     TableStrategy,
     exact_history_distribution,
 )
@@ -44,6 +43,8 @@ from stagepomdp.verify import (
     random_pomdp_model,
     uniform_controller,
 )
+
+from conftest import Opaque
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -83,18 +84,6 @@ def random_fully_observed(seed):
         raw / raw.sum(axis=2, keepdims=True),
         init / init.sum(),
     )
-
-
-class Opaque(Strategy):
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_actions = inner.n_actions
-
-    def start(self, first_signal):
-        return self.inner.start(first_signal)
-
-    def act(self, history):
-        return self.inner.act(history)
 
 
 def test_c01_stage_duration_algebra():

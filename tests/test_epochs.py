@@ -8,8 +8,10 @@ import pytest
 
 from stagepomdp.epochs import (
     _cdf,
+    _ControllerMemory,
     _CursorMemory,
     _draw,
+    _kernel_draw,
     epoch_memory_operator,
     geometric_tail,
     sample_epochs,
@@ -39,6 +41,8 @@ from stagepomdp.verify import (
     mixing_controller,
     random_pomdp_model,
 )
+
+from conftest import Opaque
 
 
 def test_sample_epochs_degenerate_at_one():
@@ -240,17 +244,6 @@ def test_batched_pinned_epochs_run_to_horizon():
     assert mixed.mean() > 0.9
 
 
-class Opaque(Strategy):
-    """Hides the concrete strategy class, so only its cursors are seen."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_actions = inner.n_actions
-
-    def start(self, first_signal):
-        return self.inner.start(first_signal)
-
-
 def small_table():
     hist1 = History(0)
     return TableStrategy(2, 2, {hist1: [0.9, 0.1], hist1.child(0, 0): [0.2, 0.8],
@@ -258,18 +251,89 @@ def small_table():
                          default=[0.3, 0.7])
 
 
-@pytest.mark.parametrize("k", [0, 3])
-@pytest.mark.parametrize("make", [alternating_controller, mixing_controller])
-def test_opaque_deterministic_controller_plays_as_bare(make, k):
-    # its posterior cursors stay on one memory, whose rule row they play
-    m = random_pomdp_model()
-    controller = make(m)
-    bare, opaque = (simulate_batch(m, strategy, 0.5, 300, worker_rng(45, k),
-                                   sums_at=[7, 25], epochs=k)
-                    for strategy in (controller, Opaque(controller)))
-    for field in dataclasses.fields(bare):
-        assert np.array_equal(getattr(bare, field.name),
-                              getattr(opaque, field.name))
+def dense_kernels(model, controller, h, marked):
+    """K_b[(s,m,a), (s',m',a')] = T_b[s,a,s'] update[m,a,σ(s'),m'] rule[m',a'],
+    summed directly: T_b is P_h alone, or the identity then P when marked."""
+    if marked:
+        blocks = [np.broadcast_to(np.eye(model.n_states)[:, None],
+                                  model.transition.shape), model.transition]
+    else:
+        blocks = [stage_duration_transform(model, h).transition]
+    update = controller.update[:, :, model.signal_map, :]
+    n_x = model.n_states * controller.n_memory * model.n_actions
+    return [np.einsum("sat,matn,nb->smatnb", t, update, controller.rule
+                      ).reshape(n_x, n_x) for t in blocks]
+
+
+def kernel_controllers(model):
+    return {"stochastic_update": stochastic_update_controller(model),
+            "mixing": mixing_controller(model),
+            "mimic": build_mimic_strategy(model, stochastic_update_controller(model),
+                                          0.5).controller(model.n_signals)}
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("model", [figure1_model, random_pomdp_model])
+def test_kernel_rows_equal_direct_product(model, marked):
+    m = model()
+    for name, controller in kernel_controllers(m).items():
+        memory = _ControllerMemory(m, controller, 0.5, marked, np.random.default_rng(0))
+        keys, cols, last = memory.keys, memory.cols, memory.last
+        dense = np.concatenate(dense_kernels(m, controller, 0.5, marked))
+        assert len(last) == len(dense) and len(keys) == np.count_nonzero(dense)
+        first = np.concatenate(([0], last[:-1] + 1))
+        for r in range(len(dense)):
+            row = slice(first[r], last[r] + 1)
+            assert keys[last[r]] == r + 1
+            assert np.all(np.diff(cols[row]) > 0)
+            law = np.zeros(dense.shape[1])
+            law[cols[row]] = np.diff(np.concatenate(([r], keys[row])))
+            assert np.max(np.abs(law - dense[r])) <= 1e-13, (name, r)
+
+
+def epoch_laws(model, controller, h, k):
+    """Exact per-epoch state and last-stage action laws and expected payoff
+    sums of k pinned epochs, from the product chain over (s, m, a)."""
+    frozen, marked = dense_kernels(model, controller, h, True)
+    n_s, n_q, n_a = model.n_states, controller.n_memory, model.n_actions
+    start = np.zeros((n_s, n_q, n_a))
+    first_memory = controller.init_memory[model.signal_map]
+    start[np.arange(n_s), first_memory] = (model.init[:, None]
+                                           * controller.rule[first_memory])
+    dist = start.reshape(-1)
+    payoff = np.repeat(model.payoff[:, None], n_q, axis=1).reshape(-1)
+    # E[K0^(N-1)] over an epoch length N ~ geometric(h), and the payoff sum
+    ending = epoch_memory_operator(frozen, h)
+    out = []
+    for _ in range(k):
+        last = dist @ ending
+        out.append((dist.reshape(n_s, -1).sum(axis=1),
+                    last.reshape(-1, n_a).sum(axis=0), last @ payoff / h))
+        dist = last @ marked
+    return out
+
+
+@pytest.mark.parametrize("name", ["alternating", "mixing", "stochastic_update",
+                                  "opaque_alternating", "opaque_mixing"])
+def test_batched_epoch_laws(name):
+    # the epoch records of the kernel draw and of the cursor path against the
+    # exact product chain: the state law during each epoch, the law of the
+    # action at its last stage and the mean payoff sum over it
+    m, h, k, n = random_pomdp_model(), 0.5, 3, 20_000
+    controller = {"alternating": alternating_controller, "mixing": mixing_controller,
+                  "stochastic_update": stochastic_update_controller
+                  }[name.removeprefix("opaque_")](m)
+    strategy = Opaque(controller) if name.startswith("opaque_") else controller
+    plays = simulate_batch(m, strategy, h, n, worker_rng(49, 0), epochs=k)
+    for i, (states, actions, payoff_sum) in enumerate(epoch_laws(m, controller, h, k)):
+        for drawn, law in ((plays.epoch_states[:, i], states),
+                           (plays.epoch_actions[:, i], actions)):
+            freq = np.bincount(drawn, minlength=len(law)) / n
+            se = np.sqrt(np.maximum(law * (1.0 - law), 1e-12) / n)
+            assert np.all(np.abs(freq - law) <= 4.0 * se), (i, freq, law)
+        sums = plays.epoch_sums[:, i]
+        se = sums.std(ddof=1) / math.sqrt(n)
+        assert abs(sums.mean() - payoff_sum) <= 4.0 * se, (i, sums.mean(), payoff_sum)
 
 
 class CountingOpaque(Strategy):
@@ -495,6 +559,19 @@ def test_draw_never_lands_on_zero_probability_tail():
         cdf = _cdf(np.array([row]))
         assert _draw(cdf, top)[0] == last
         assert _draw(cdf, np.zeros((1, 1)))[0] == first
+
+    # in the kernel's row-offset table r + u rounds to r + 1 for such a u on
+    # every row past the first, which the search would place in row r + 1
+    m = figure1_model()
+    for marked in (False, True):
+        memory = _ControllerMemory(m, stochastic_update_controller(m), 0.5, marked,
+                                   np.random.default_rng(0))
+        keys, cols, last = memory.keys, memory.cols, memory.last
+        rows = np.arange(len(last))
+        assert len(last) - 1 + top[0, 0] == len(last)
+        for u, entry in ((top[0, 0], last), (0.0, np.concatenate(([0], last[:-1] + 1)))):
+            drawn = _kernel_draw(keys, cols, last, rows, np.full(len(rows), u))
+            assert np.array_equal(drawn, cols[entry])
 
 
 def test_stage_weights_cover_only_the_summed_stages():

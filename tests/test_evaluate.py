@@ -19,7 +19,7 @@ from stagepomdp.evaluate import (
     longrun_average_mc,
 )
 from stagepomdp.model import make_model, stage_duration_transform
-from stagepomdp.strategies import History, SequenceStrategy, Strategy, TableStrategy
+from stagepomdp.strategies import History, SequenceStrategy, TableStrategy
 from stagepomdp.verify import (
     alternating_controller,
     figure1_model,
@@ -28,6 +28,8 @@ from stagepomdp.verify import (
     random_pomdp_model,
     uniform_controller,
 )
+
+from conftest import Opaque
 
 
 def constant_payoff_model(c=0.7):
@@ -155,17 +157,6 @@ def test_figure1_absorption_average_zero():
         action = stage % 2
         dist = dist @ mh.transition[:, action, :]
     assert dist[2] == pytest.approx(1.0, abs=1e-9)
-
-
-class Opaque(Strategy):
-    """Hides the concrete strategy class, forcing the general routes."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_actions = inner.n_actions
-
-    def start(self, first_signal):
-        return self.inner.start(first_signal)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])

@@ -30,7 +30,6 @@ from stagepomdp.strategies import (
     FiniteStateController,
     History,
     SequenceStrategy,
-    Strategy,
     TableStrategy,
     exact_history_distribution,
 )
@@ -43,19 +42,7 @@ from stagepomdp.verify import (
     uniform_controller,
 )
 
-
-class Opaque(Strategy):
-    """Hides the concrete strategy class, forcing the enumeration route."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_actions = inner.n_actions
-
-    def start(self, first_signal):
-        return self.inner.start(first_signal)
-
-    def act(self, history):
-        return self.inner.act(history)
+from conftest import Opaque
 
 
 def geometric_parity_sums(h, n_max):
@@ -462,6 +449,9 @@ def test_filtered_history_out_of_range_rejected(fil):
             mimic_action_exact(m, source, 0.5, fil)
         with pytest.raises(ValueError, match="out of range"):
             build_mimic_strategy(m, source, 0.5).act(fil)
+        # the Monte Carlo route raised NoAcceptedSamples after simulating
+        with pytest.raises(ValueError, match="out of range"):
+            mimic_action_mc(m, source, 0.5, fil, 50, 0)
 
 
 def test_truncation_dominates_raised():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stagepomdp.errors import GapBoundViolated, NotFullyObserved
 from stagepomdp.evaluate import longrun_average_exact_fsc
 from stagepomdp.model import is_fully_observed, make_model, validate_model
-from stagepomdp.strategies import History, SequenceStrategy, Strategy, TableStrategy
+from stagepomdp.strategies import History, SequenceStrategy, TableStrategy
 from stagepomdp.verify import (
     alternating_controller,
     check_cesaro_alignment,
@@ -27,6 +27,8 @@ from stagepomdp.verify import (
     run_suite,
     uniform_controller,
 )
+
+from conftest import Opaque
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,20 +98,6 @@ def test_marginal_lemma_constant_payoff():
     assert report.passed
     assert report.quantities["lhs_expected_payoff"] == pytest.approx(0.42, abs=1e-10)
     assert report.quantities["rhs_expected_payoff"] == pytest.approx(0.42, abs=1e-10)
-
-
-class Opaque(Strategy):
-    """Hides the concrete strategy class, forcing the enumeration route."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_actions = inner.n_actions
-
-    def start(self, first_signal):
-        return self.inner.start(first_signal)
-
-    def act(self, history):
-        return self.inner.act(history)
 
 
 def test_marginal_lemma_table_source_truncated():
