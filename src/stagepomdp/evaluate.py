@@ -9,7 +9,9 @@ trailing-window minimum as a conservative proxy.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +42,6 @@ from .strategies import (
 )
 
 DEFAULT_LAMBDA_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
-
-#: sup-norm residual at which value iteration stops
-VI_RESIDUAL_TOL = 1e-9
 
 #: most policy evaluations a policy iteration may take before NotConverged
 MAX_POLICY_STEPS = 100
@@ -348,65 +347,64 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
 
 # --- discounted value (sup over strategies) ----------------------------------
 
-def _tabular_discounted_value(mh: PomdpModel, eff):
-    """Optimal discounted value per state of a fully observed model.
+def _policy_iteration(rewards, succ_mass, succ_idx, eff, solve):
+    """Values, Bellman residual and policy evaluations of policy iteration
+    from the greedy policy of ``rewards`` (scaled by eff), where action a at
+    n moves to ``succ_idx[n, a, j]`` with probability ``succ_mass[n, a, j]``.
 
-    A short value-iteration seed, then exact linear solves of the greedy
-    policy iterated to Bellman stability (policy iteration), so the result
-    is exact up to solver roundoff regardless of the discount.
+    ``solve(policy)`` solves (I - (1-eff) P_pi) v = rewards_pi.  A point
+    keeps its action unless another beats it by more than
+    ``POLICY_TIE_TOL``, so ties cannot cycle.
     """
+    rows = np.arange(rewards.shape[0])
+    policy = rewards.argmax(axis=1)
+    for steps in range(1, MAX_POLICY_STEPS + 1):
+        values = solve(policy)
+        q = rewards + (1.0 - eff) * np.einsum("nas,nas->na", succ_mass,
+                                              values[succ_idx])
+        best = q.argmax(axis=1)
+        residual = float(np.max(np.abs(q[rows, best] - values)))
+        keep = q[rows, policy] >= q[rows, best] - POLICY_TIE_TOL
+        if keep.all():
+            return values, residual, steps
+        policy = np.where(keep, policy, best)
+    raise NotConverged(MAX_POLICY_STEPS, residual)
+
+
+def _tabular_discounted_value(mh: PomdpModel, eff):
+    """Optimal discounted value per state of a fully observed model, by
+    ``_policy_iteration`` with one dense solve per policy, so exact up to
+    solver roundoff whatever the discount."""
     n_w = mh.n_states
-    values = np.zeros(n_w)
-    for _ in range(200):
-        q = eff * mh.payoff + (1.0 - eff) * np.einsum(
-            "waz,z->wa", mh.transition, values
-        )
-        new_values = q.max(axis=1)
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if residual <= VI_RESIDUAL_TOL:
-            break
-    policy = None
-    stable = False
-    for _ in range(MAX_POLICY_STEPS):
-        q = eff * mh.payoff + (1.0 - eff) * np.einsum(
-            "waz,z->wa", mh.transition, values
-        )
-        new_policy = q.argmax(axis=1)
-        stable = policy is not None and np.array_equal(new_policy, policy)
-        if stable:
-            break
-        policy = new_policy
-        p_pi = mh.transition[np.arange(n_w), policy, :]
-        g_pi = mh.payoff[np.arange(n_w), policy]
-        values = np.linalg.solve(np.eye(n_w) - (1.0 - eff) * p_pi, eff * g_pi)
-    q = eff * mh.payoff + (1.0 - eff) * np.einsum("waz,z->wa", mh.transition, values)
-    bellman_residual = float(np.max(np.abs(q.max(axis=1) - values)))
-    if not stable:
-        raise NotConverged(MAX_POLICY_STEPS, bellman_residual)
-    return values, bellman_residual
+    rows = np.arange(n_w)
+    rewards = eff * mh.payoff
+
+    def solve(policy):
+        system = np.eye(n_w) - (1.0 - eff) * mh.transition[rows, policy, :]
+        return np.linalg.solve(system, rewards[rows, policy])
+
+    succ_idx = np.broadcast_to(rows, mh.transition.shape)
+    return _policy_iteration(rewards, mh.transition, succ_idx, eff, solve)
 
 
 def _belief_lattice(n_states, resolution):
     """Lattice beliefs with denominator ``resolution``, one row per point in
-    lexicographic order of the integer compositions."""
+    lexicographic order of the integer compositions: as stars and bars,
+    the order in which ``itertools.combinations`` yields the bar slots."""
     n_points = math.comb(resolution + n_states - 1, n_states - 1)
     if n_points > MAX_LATTICE_POINTS:
         raise BudgetExceeded(
             n_points, MAX_LATTICE_POINTS,
             f"belief lattice over {n_states} states at resolution {resolution}",
         )
-    points = []
-
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            fill(prefix + [c], remaining - c, slots - 1)
-
-    fill([], resolution, n_states)
-    return np.asarray(points, dtype=np.float64) / resolution
+    slots = resolution + n_states - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(slots), n_states - 1)),
+        dtype=np.int64, count=n_points * (n_states - 1),
+    ).reshape(n_points, n_states - 1)
+    edges = np.column_stack([np.full(n_points, -1), bars, np.full(n_points, slots)])
+    return (np.diff(edges, axis=1) - 1) / resolution
 
 
 def _project_rows(beliefs, resolution):
@@ -420,22 +418,27 @@ def _project_rows(beliefs, resolution):
     return counts + (place < short[:, None])
 
 
-def _lattice_rank(counts, resolution):
-    """Row of each composition in ``_belief_lattice``'s order.
+def _binomials(n_states, resolution):
+    """Table of C(n, k) for n < resolution + n_states and k < n_states."""
+    return np.array([[math.comb(n, k) for k in range(n_states)]
+                     for n in range(resolution + n_states)], dtype=np.int64)
+
+
+def _lattice_rank(counts, resolution, binom):
+    """Row of each composition in ``_belief_lattice``'s order; ``binom`` is
+    ``_binomials(W, resolution)``.
 
     With k_i = W-1-i slots after slot i and r_i units left before it, the
     compositions ranked earlier at slot i number C(r_i+k_i, k_i) -
     C(r_i-c_i+k_i, k_i) (a hockey-stick sum).
     """
     n_w = counts.shape[1]
-    binom = np.array([[math.comb(n, k) for k in range(n_w)]
-                      for n in range(resolution + n_w)], dtype=np.int64)
     left = resolution - np.cumsum(counts, axis=1) + counts
     k = np.arange(n_w - 1, -1, -1)
     return (binom[left + k, k] - binom[left - counts + k, k]).sum(axis=1)
 
 
-def _lattice_successors(mh: PomdpModel, grid, resolution):
+def _lattice_successors(mh: PomdpModel, grid, resolution, binom):
     """Mass and projected lattice row of every (point, action, signal) successor."""
     n_pts = grid.shape[0]
     succ_mass = np.zeros((n_pts, mh.n_actions, mh.n_signals))
@@ -448,58 +451,40 @@ def _lattice_successors(mh: PomdpModel, grid, resolution):
             live = mass > 0.0
             succ_mass[live, a, s] = mass[live]
             succ_idx[live, a, s] = _lattice_rank(
-                _project_rows(part[live] / mass[live, None], resolution), resolution)
+                _project_rows(part[live] / mass[live, None], resolution),
+                resolution, binom)
     return succ_mass, succ_idx
 
 
 def _belief_grid_value(mh: PomdpModel, eff, resolution):
-    """Optimal values of the projected lattice MDP by policy iteration.
-
-    Each policy is evaluated by one sparse solve of
-    (I - (1-eff) P_pi) v = eff r_pi; a point keeps its action unless another
-    beats it by more than ``POLICY_TIE_TOL``, so ties cannot cycle.  Returns
-    the value lookup and the Bellman residual of the returned values.
-    """
+    """Optimal values of the projected lattice MDP by ``_policy_iteration``
+    with one sparse solve per policy.  Returns the value lookup, the Bellman
+    residual of the returned values and the number of policy evaluations."""
     grid = _belief_lattice(mh.n_states, resolution)
+    binom = _binomials(mh.n_states, resolution)
     n_pts = grid.shape[0]
     rewards = eff * (grid @ mh.payoff)  # (N, A)
-    succ_mass, succ_idx = _lattice_successors(mh, grid, resolution)
+    succ_mass, succ_idx = _lattice_successors(mh, grid, resolution, binom)
     rows = np.arange(n_pts)
     width = mh.n_signals + 1  # a row's diagonal and its successors
     indptr = np.arange(0, width * n_pts + 1, width)
 
-    def q_values(values):
-        return rewards + (1.0 - eff) * np.einsum("nas,nas->na", succ_mass,
-                                                 values[succ_idx])
-
-    values = np.zeros(n_pts)
-    q = q_values(values)
-    policy = q.argmax(axis=1)
-    stable = False
-    for _ in range(MAX_POLICY_STEPS):
+    def solve(policy):
         data = np.column_stack([np.ones(n_pts),
                                 -(1.0 - eff) * succ_mass[rows, policy]])
         cols = np.column_stack([rows, succ_idx[rows, policy]])
         system = csr_matrix((data.ravel(), cols.ravel(), indptr),
                             shape=(n_pts, n_pts))
-        values = spsolve(system, rewards[rows, policy])
-        q = q_values(values)
-        best = q.argmax(axis=1)
-        keep = q[rows, policy] >= q[rows, best] - POLICY_TIE_TOL
-        new_policy = np.where(keep, policy, best)
-        stable = np.array_equal(new_policy, policy)
-        if stable:
-            break
-        policy = new_policy
-    residual = float(np.max(np.abs(q.max(axis=1) - values)))
-    if not stable:
-        raise NotConverged(MAX_POLICY_STEPS, residual)
+        return spsolve(system, rewards[rows, policy])
+
+    values, residual, steps = _policy_iteration(rewards, succ_mass, succ_idx,
+                                                eff, solve)
 
     def value_at(belief):
         row = _project_rows(belief[None, :], resolution)
-        return float(values[_lattice_rank(row, resolution)[0]])
+        return float(values[_lattice_rank(row, resolution, binom)[0]])
 
-    return value_at, residual
+    return value_at, residual, steps
 
 
 def _initial_belief_value(model, value_at):
@@ -517,42 +502,46 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
                               grid_resolution=60) -> PayoffEstimate:
     """Estimate the optimal discounted value at stage duration h.
 
-    Fully observed models reduce to exact dynamic programming over states
-    (no grid error); otherwise the value is computed on a belief simplex
-    lattice with nearest-point projection, solved by policy iteration, and
-    flagged approximate.  ``stopping_bound`` is the Bellman residual of the
-    returned values times (1-lam*h)/(lam*h); the belief grid also reports a
-    grid-refinement gap (value change from half resolution to full
-    resolution).
+    A fully observed model is solved over its states, exactly; otherwise
+    over the belief lattice of denominator ``grid_resolution`` with
+    nearest-point projection, flagged approximate, with ``grid_gap`` the
+    value change from half to full resolution.  Both run policy iteration
+    from the payoff-greedy policy; ``stopping_bound`` is the final Bellman
+    residual times (1-lam*h)/(lam*h), and ``metadata["policy_steps"]``
+    counts the policy evaluations (of the full-resolution grid solve).
+    ``ValueError`` if 1 - lam*h rounds to 1, where the discount is lost.
     """
     h = validate_stage_duration(h)
     lam = float(lam)
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"lambda must be in (0, 1], got {lam!r}")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
+    try:
+        grid_resolution = operator.index(grid_resolution)
+        valid = grid_resolution >= 2
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError("grid_resolution must be an integer >= 2")
     eff = lam * h
+    if 1.0 - eff == 1.0:
+        raise ValueError(f"lam*h = {eff!r} is too small: 1 - lam*h rounds to 1")
     mh = stage_duration_transform(model, h) if h != 1.0 else model
     meta = {"h": h, "lam": lam}
     if is_fully_observed(model):
-        values, bellman_residual = _tabular_discounted_value(mh, eff)
-        stopping = bellman_residual * (1.0 - eff) / eff if eff < 1.0 else 0.0
-        return PayoffEstimate(
-            float(model.init @ values), "exact",
-            diagnostics={"stopping_bound": stopping},
-            metadata=meta,
-        )
-    value_at, residual = _belief_grid_value(mh, eff, grid_resolution)
-    total = _initial_belief_value(model, value_at)
-    coarse_at, _ = _belief_grid_value(mh, eff, max(2, grid_resolution // 2))
-    grid_gap = abs(total - _initial_belief_value(model, coarse_at))
+        values, residual, steps = _tabular_discounted_value(mh, eff)
+        value, mode, diagnostics = float(model.init @ values), "exact", {}
+    else:
+        value_at, residual, steps = _belief_grid_value(mh, eff, grid_resolution)
+        value = _initial_belief_value(model, value_at)
+        coarse_at, _, _ = _belief_grid_value(mh, eff, max(2, grid_resolution // 2))
+        mode = "approximate"
+        diagnostics = {"grid_gap": abs(value - _initial_belief_value(model, coarse_at))}
+        meta["grid_resolution"] = grid_resolution
     stopping = residual * (1.0 - eff) / eff if eff < 1.0 else 0.0
-    meta["grid_resolution"] = grid_resolution
-    return PayoffEstimate(
-        total, "approximate",
-        diagnostics={"stopping_bound": stopping, "grid_gap": grid_gap},
-        metadata=meta,
-    )
+    meta["policy_steps"] = steps
+    return PayoffEstimate(value, mode,
+                          diagnostics={"stopping_bound": stopping, **diagnostics},
+                          metadata=meta)
 
 
 def asymptotic_value_estimate(model: PomdpModel, h, lam_grid=DEFAULT_LAMBDA_GRID,

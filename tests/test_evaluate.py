@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -299,10 +300,98 @@ def test_belief_grid_not_converged_guard(monkeypatch):
         discounted_value_estimate(figure1_model(), 0.01, 0.5, grid_resolution=8)
 
 
+def greedy_trap_model():
+    """Fully observed: action a pays 0.6 and stays in w1, b pays 0.5 once and
+    moves to w2, which pays 1 forever; the payoff-greedy a is not optimal."""
+    transition = np.zeros((2, 2, 2))
+    transition[0, 0, 0] = transition[0, 1, 1] = 1.0
+    transition[1, :, 1] = 1.0
+    return make_model(["w1", "w2"], ["a", "b"], ["w1", "w2"], [0, 1],
+                      [[0.6, 0.5], [1.0, 1.0]], transition, [1.0, 0.0])
+
+
 def test_tabular_not_converged_guard(monkeypatch):
+    # the greedy start is not optimal here, so one evaluation is not stable
+    # (on fully_observed_model() it is, and one evaluation suffices)
+    assert discounted_value_estimate(
+        greedy_trap_model(), 0.1, 0.5).metadata["policy_steps"] == 2
     monkeypatch.setattr(evaluate, "MAX_POLICY_STEPS", 1)
     with pytest.raises(NotConverged):
-        discounted_value_estimate(fully_observed_model(), 0.1, 0.5)
+        discounted_value_estimate(greedy_trap_model(), 0.1, 0.5)
+
+
+def _random_observed_model(rng, n_w, n_a):
+    raw = rng.uniform(0.0, 1.0, size=(n_w, n_a, n_w)) ** 3  # uneven rows
+    return make_model(
+        [f"w{i}" for i in range(n_w)], [f"a{i}" for i in range(n_a)],
+        [f"w{i}" for i in range(n_w)], list(range(n_w)),
+        rng.uniform(0.0, 1.0, size=(n_w, n_a)),
+        raw / raw.sum(axis=2, keepdims=True), rng.dirichlet(np.ones(n_w)),
+    )
+
+
+def _best_policy_value(mh, eff, init):
+    """Largest exact value of init over all A^W deterministic stationary
+    policies, and whether the payoff-greedy policy attains it."""
+    rows = np.arange(mh.n_states)
+    greedy = tuple(mh.payoff.argmax(axis=1))
+    values = {}
+    for policy in itertools.product(range(mh.n_actions), repeat=mh.n_states):
+        system = np.eye(mh.n_states) - (1.0 - eff) * mh.transition[rows, policy, :]
+        solved = np.linalg.solve(system, eff * mh.payoff[rows, policy])
+        values[policy] = float(init @ solved)
+    best = max(values.values())
+    return best, values[greedy] >= best - 1e-12
+
+
+@pytest.mark.parametrize("lam,h", [(1.0, 0.5), (0.1, 0.5), (0.01, 0.25),
+                                   (1e-3, 0.1), (1e-5, 0.1)])
+def test_tabular_value_is_best_deterministic_policy(lam, h):
+    rng = np.random.default_rng(5)
+    models = [greedy_trap_model(), fully_observed_model()]
+    models += [_random_observed_model(rng, n_w, n_a)
+               for n_w, n_a in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+               for _ in range(3)]
+    eff = lam * h
+    non_greedy = 0
+    for model in models:
+        mh = stage_duration_transform(model, h) if h != 1.0 else model
+        est = discounted_value_estimate(model, lam, h)
+        best, greedy_is_best = _best_policy_value(mh, eff, model.init)
+        assert est.mode == "exact"
+        assert est.value == pytest.approx(best, abs=1e-12)
+        if not greedy_is_best:
+            non_greedy += 1
+            assert est.metadata["policy_steps"] >= 2
+    assert non_greedy >= 1
+
+
+@pytest.mark.parametrize("model", [figure1_model, fully_observed_model])
+def test_value_estimate_rejects_lost_discount(model):
+    # 1 - lam*h rounds to 1: the grid gave nan, the tabular route NotConverged
+    with pytest.raises(ValueError, match="rounds to 1"):
+        discounted_value_estimate(model(), 1e-16, 0.5, grid_resolution=8)
+    with pytest.raises(ValueError, match="rounds to 1"):
+        asymptotic_value_estimate(model(), 0.5, lam_grid=(0.1, 1e-16),
+                                  grid_resolution=8)
+
+
+@pytest.mark.parametrize("model", [figure1_model, fully_observed_model])
+@pytest.mark.parametrize("resolution", [12.0, 12.5, "12", 1, True])
+def test_value_estimate_rejects_non_integer_resolution(model, resolution):
+    with pytest.raises(ValueError, match="integer >= 2"):
+        discounted_value_estimate(model(), 0.1, 0.5, grid_resolution=resolution)
+
+
+@pytest.mark.parametrize("model", [figure1_model, fully_observed_model])
+def test_value_estimate_accepts_numpy_resolution(model):
+    est = discounted_value_estimate(model(), 0.1, 0.5, grid_resolution=np.int64(8))
+    assert est.value == discounted_value_estimate(model(), 0.1, 0.5,
+                                                  grid_resolution=8).value
+    assert type(est.metadata["policy_steps"]) is int
+    assert est.metadata["policy_steps"] >= 1
+    if "grid_resolution" in est.metadata:
+        assert type(est.metadata["grid_resolution"]) is int
 
 
 def _reference_project(belief, resolution):
@@ -334,8 +423,25 @@ def test_project_rows_matches_per_belief_reference(n_w, resolution):
 def test_lattice_rank_follows_lattice_order(n_w, resolution):
     grid = evaluate._belief_lattice(n_w, resolution)
     counts = np.rint(grid * resolution).astype(np.int64)
-    assert np.array_equal(evaluate._lattice_rank(counts, resolution),
+    binom = evaluate._binomials(n_w, resolution)
+    assert np.array_equal(evaluate._lattice_rank(counts, resolution, binom),
                           np.arange(len(grid)))
+
+
+def _reference_lattice(n_states, resolution):
+    """Compositions of ``resolution`` into ``n_states`` parts by recursion,
+    in lexicographic order."""
+    if n_states == 1:
+        return [[resolution]]
+    return [[c] + rest for c in range(resolution + 1)
+            for rest in _reference_lattice(n_states - 1, resolution - c)]
+
+
+@pytest.mark.parametrize("n_w,resolution", [(1, 5), (2, 30), (3, 24), (4, 12), (5, 7)])
+def test_belief_lattice_matches_recursive_reference(n_w, resolution):
+    want = np.asarray(_reference_lattice(n_w, resolution), dtype=np.float64) / resolution
+    got = evaluate._belief_lattice(n_w, resolution)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _reference_successors(mh, grid, resolution):
@@ -372,7 +478,7 @@ def test_belief_grid_matches_value_iteration():
             residual = float(np.max(np.abs(new_values - values)))
             values = new_values
         vi_bound = residual * (1.0 - eff) / eff
-        value_at, grid_residual = evaluate._belief_grid_value(mh, eff, resolution)
+        value_at, grid_residual, _ = evaluate._belief_grid_value(mh, eff, resolution)
         got = np.array([value_at(b) for b in grid])
         grid_bound = grid_residual * (1.0 - eff) / eff
         assert np.max(np.abs(got - values)) <= vi_bound + grid_bound + 1e-14
@@ -391,9 +497,10 @@ def test_belief_grid_stopping_bound_covers_bellman_residual():
         est = discounted_value_estimate(model, lam, h, resolution)
         mh = stage_duration_transform(model, h)
         grid = evaluate._belief_lattice(model.n_states, resolution)
-        value_at, _ = evaluate._belief_grid_value(mh, eff, resolution)
+        value_at, _, _ = evaluate._belief_grid_value(mh, eff, resolution)
         values = np.array([value_at(b) for b in grid])
-        succ_mass, succ_idx = evaluate._lattice_successors(mh, grid, resolution)
+        succ_mass, succ_idx = evaluate._lattice_successors(
+            mh, grid, resolution, evaluate._binomials(model.n_states, resolution))
         q = eff * (grid @ mh.payoff) + (1.0 - eff) * np.einsum(
             "nas,nas->na", succ_mass, values[succ_idx])
         residual = float(np.max(np.abs(q.max(axis=1) - values)))
