@@ -419,9 +419,10 @@ def _project_rows(beliefs, resolution):
 
 
 def _binomials(n_states, resolution):
-    """Table of C(n, k) for n < resolution + n_states and k < n_states."""
-    return np.array([[math.comb(n, k) for k in range(n_states)]
-                     for n in range(resolution + n_states)], dtype=np.int64)
+    """Table of C(j+k, k) at [j, k] for j <= resolution and k < n_states;
+    its largest entry is the lattice size, so int64 holds it."""
+    return np.array([[math.comb(j + k, k) for k in range(n_states)]
+                     for j in range(resolution + 1)], dtype=np.int64)
 
 
 def _lattice_rank(counts, resolution, binom):
@@ -435,7 +436,7 @@ def _lattice_rank(counts, resolution, binom):
     n_w = counts.shape[1]
     left = resolution - np.cumsum(counts, axis=1) + counts
     k = np.arange(n_w - 1, -1, -1)
-    return (binom[left + k, k] - binom[left - counts + k, k]).sum(axis=1)
+    return (binom[left, k] - binom[left - counts, k]).sum(axis=1)
 
 
 def _lattice_successors(mh: PomdpModel, grid, resolution, binom):

@@ -419,7 +419,8 @@ def test_project_rows_matches_per_belief_reference(n_w, resolution):
     assert (got.sum(axis=1) == resolution).all()
 
 
-@pytest.mark.parametrize("n_w,resolution", [(2, 30), (3, 24), (3, 60), (4, 12), (5, 7)])
+@pytest.mark.parametrize("n_w,resolution",
+                         [(2, 30), (3, 24), (3, 60), (4, 12), (5, 7), (70, 2)])
 def test_lattice_rank_follows_lattice_order(n_w, resolution):
     grid = evaluate._belief_lattice(n_w, resolution)
     counts = np.rint(grid * resolution).astype(np.int64)
