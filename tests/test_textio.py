@@ -2,6 +2,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagepomdp.errors import (
     DuplicateEntry,
@@ -9,7 +10,7 @@ from stagepomdp.errors import (
     StagePomdpError,
     UnknownName,
 )
-from stagepomdp.model import stage_duration_transform
+from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import FiniteStateController
 from stagepomdp.textio import (
     parse_controller,
@@ -22,6 +23,7 @@ from stagepomdp.verify import figure1_model, mixing_controller, random_pomdp_mod
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 VALID = sorted((GOLDEN / "valid").glob("*.pomdp"))
 INVALID = sorted((GOLDEN / "invalid").glob("*.pomdp"))
+INVALID_FSC = sorted((GOLDEN / "invalid_fsc").glob("*.fsc"))
 
 
 def models_equal(a, b):
@@ -142,3 +144,53 @@ update:
 """
     with pytest.raises(UnknownName):
         parse_controller(text, model)
+
+
+@pytest.mark.parametrize("path", INVALID_FSC, ids=lambda p: p.stem)
+def test_invalid_controller_errors(path):
+    # positioned format errors, then the controller's own checks
+    expected = path.with_suffix(".err").read_text()
+    with pytest.raises((StagePomdpError, ValueError)) as err:
+        parse_controller(path.read_text(), random_pomdp_model(),
+                         filename=path.name)
+    rendered = f"{type(err.value).__name__}: {err.value}\n"
+    assert rendered == expected
+
+
+def _sparse_rows(rng, shape):
+    """Random stochastic rows over the last axis, each with some zeros."""
+    raw = rng.uniform(0.05, 1.0, size=shape) * (rng.random(shape) < 0.6)
+    raw[..., 0] += raw.sum(axis=-1) == 0
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_w=st.integers(1, 4), n_a=st.integers(1, 3), n_s=st.integers(1, 3),
+    n_q=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_round_trip(n_w, n_a, n_s, n_q, seed):
+    rng = np.random.default_rng(seed)
+    payoff = rng.normal(size=(n_w, n_a)) * (rng.random((n_w, n_a)) < 0.5)
+    model = make_model(
+        tuple(f"w{i}" for i in range(n_w)), tuple(f"a{i}" for i in range(n_a)),
+        tuple(f"s{i}" for i in range(n_s)), rng.integers(0, n_s, size=n_w),
+        payoff, _sparse_rows(rng, (n_w, n_a, n_w)), _sparse_rows(rng, (n_w,)),
+    )
+    text = serialize_pomdp(model)
+    again = parse_pomdp(text)
+    assert models_equal(again, model)
+    assert serialize_pomdp(again) == text
+
+    ctrl = FiniteStateController(
+        rng.integers(0, n_q, size=n_s), _sparse_rows(rng, (n_q, n_a)),
+        _sparse_rows(rng, (n_q, n_a, n_s, n_q)),
+        memory_names=tuple(f"m{i}" for i in range(n_q)),
+    )
+    text = serialize_controller(ctrl, model)
+    back = parse_controller(text, model)
+    assert back.memory_names == ctrl.memory_names
+    assert np.array_equal(back.init_memory, ctrl.init_memory)
+    assert np.array_equal(back.rule, ctrl.rule)
+    assert np.array_equal(back.update, ctrl.update)
+    assert serialize_controller(back, model) == text
