@@ -1,30 +1,39 @@
-"""Line-oriented text formats for models and controllers.
+"""Line-oriented text formats for models (.pomdp) and controllers (.fsc).
 
-Model format (.pomdp): '#' starts a comment anywhere; sections are
+'#' starts a comment anywhere, and a first token ending in ':' opens a
+section. List sections (states, actions, signals, memory) take names inline
+and/or on the following lines. Every other section is an entry table: one
+line per entry, key names then a value (a number or a name); omitted
+numbers are 0. Errors carry the line and column of the offending token.
 
-    states: w1 w2 w3          # names inline and/or on following lines
+    states: w1 w2 w3          # a model
     actions: a b
     signals: s1
-    signal_map:               # one "state signal" line per state
+    signal_map:               # "state signal"; every state has an entry
       w1 s1
-    init:                     # "state prob"; omitted states carry 0
+    init:                     # "state prob"
       w1 1
-    payoff:                   # "state action value"; omitted entries are 0
+    payoff:                   # "state action value"; the section is optional
       w1 a 1
-    transition:               # "state action next prob"; omitted probs are 0,
-      w1 a w2 1               # but a (state, action) row with no entry at all
-                              # is an error
+    transition:               # "state action next prob"; every (state,
+      w1 a w2 1               # action) has an entry
 
-Serialization is canonical (declaration order, 17 significant digits), so
-parse(serialize(m)) reproduces m exactly.
+    memory: q0 q1             # a controller, read against a model's names
+    init:                     # "signal memory"; every signal has an entry
+      s1 q0
+    rule:                     # "memory action prob"; every memory has a row
+      q0 a 1
+    update:                   # "memory action signal memory prob"; every
+      q0 a s1 q1 1            # (memory, action, signal) has a row
 
-Controller format (.fsc) reuses the same conventions with sections
-memory:, init: ("signal memory"), rule: ("memory action prob") and
-update: ("memory action signal memory prob").
+Serialization is canonical (declaration order, nonzero entries only, 17
+significant digits), so parse(serialize(x)) reproduces x exactly.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 
 import numpy as np
@@ -132,11 +141,55 @@ def _number(line, col, tok, filename):
     return value
 
 
-def _arity(line, tokens, n, what, filename):
-    if len(tokens) != n:
-        col = tokens[n][0] if len(tokens) > n else tokens[-1][0]
-        raise ParseError(line, col,
-                         f"expected {what}, got {len(tokens)} tokens", filename)
+def _index(names):
+    return {name: i for i, name in enumerate(names)}
+
+
+def _entries(reader, section, keys, value, label, required=True):
+    """Read an entry table into its header line and {key indices: value}.
+
+    ``keys`` and ``value`` are (word, name index) pairs, the value's index
+    None for a number; ``label`` formats a repeated key's names.
+    """
+    if not required and section not in reader.sections:
+        return None, {}
+    filename = reader.filename
+    header_line, rows = reader.require(section)
+    what = "'" + " ".join([word for word, _ in keys] + [value[0]]) + "'"
+    n = len(keys)
+    out = {}
+    for line, tokens in rows:
+        if len(tokens) != n + 1:
+            raise ParseError(line, tokens[min(n + 1, len(tokens) - 1)][0],
+                             f"expected {what}, got {len(tokens)} tokens", filename)
+        key = []
+        for (_, index), (col, tok) in zip(keys, tokens):
+            key.append(_lookup(index, line, col, tok, filename))
+        key = tuple(key)
+        if key in out:
+            raise DuplicateEntry(line, tokens[0][0],
+                                 label.format(*[tok for _, tok in tokens[:n]]),
+                                 filename)
+        col, tok = tokens[n]
+        out[key] = (_number(line, col, tok, filename) if value[1] is None
+                    else _lookup(value[1], line, col, tok, filename))
+    return header_line, out
+
+
+def _cover(header_line, entries, names, message, filename):
+    """Raise at the header for the first name combination no key begins with."""
+    rows = {key[:len(names)] for key in entries}
+    for idx in itertools.product(*[range(len(n)) for n in names]):
+        if idx not in rows:
+            raise ParseError(header_line, 1,
+                             message.format(*map(operator.getitem, names, idx)),
+                             filename)
+
+
+def _fill(array, entries):
+    for key, value in entries.items():
+        array[key] = value
+    return array
 
 
 def parse_pomdp(text, filename="<string>", normalize=False) -> PomdpModel:
@@ -149,111 +202,50 @@ def parse_pomdp(text, filename="<string>", normalize=False) -> PomdpModel:
     states = reader.names("states")
     actions = reader.names("actions")
     signals = reader.names("signals")
-    s_index = {name: i for i, name in enumerate(states)}
-    a_index = {name: i for i, name in enumerate(actions)}
-    g_index = {name: i for i, name in enumerate(signals)}
-
-    signal_map = np.full(len(states), -1, dtype=np.int64)
-    _, rows = reader.require("signal_map")
-    for line, tokens in rows:
-        _arity(line, tokens, 2, "'state signal'", filename)
-        (c1, t1), (c2, t2) = tokens
-        w = _lookup(s_index, line, c1, t1, filename)
-        if signal_map[w] >= 0:
-            raise DuplicateEntry(line, c1, f"signal for state {t1!r}", filename)
-        signal_map[w] = _lookup(g_index, line, c2, t2, filename)
-    missing = np.nonzero(signal_map < 0)[0]
-    if missing.size:
-        header_line, _ = reader.require("signal_map")
-        raise ParseError(header_line, 1,
-                         f"state {states[int(missing[0])]!r} has no signal entry",
-                         filename)
-
-    init = np.zeros(len(states))
-    seen_init = set()
-    _, rows = reader.require("init")
-    for line, tokens in rows:
-        _arity(line, tokens, 2, "'state prob'", filename)
-        (c1, t1), (c2, t2) = tokens
-        w = _lookup(s_index, line, c1, t1, filename)
-        if w in seen_init:
-            raise DuplicateEntry(line, c1, f"init for state {t1!r}", filename)
-        seen_init.add(w)
-        init[w] = _number(line, c2, t2, filename)
-
-    payoff = np.zeros((len(states), len(actions)))
-    if "payoff" in reader.sections:
-        seen_payoff = set()
-        for line, tokens in reader.sections["payoff"][1]:
-            _arity(line, tokens, 3, "'state action value'", filename)
-            (c1, t1), (c2, t2), (c3, t3) = tokens
-            w = _lookup(s_index, line, c1, t1, filename)
-            a = _lookup(a_index, line, c2, t2, filename)
-            if (w, a) in seen_payoff:
-                raise DuplicateEntry(line, c1, f"payoff ({t1!r}, {t2!r})", filename)
-            seen_payoff.add((w, a))
-            payoff[w, a] = _number(line, c3, t3, filename)
-
-    transition = np.zeros((len(states), len(actions), len(states)))
-    seen_rows = set()
-    seen_cells = set()
-    header_line, rows = reader.require("transition")
-    for line, tokens in rows:
-        _arity(line, tokens, 4, "'state action next prob'", filename)
-        (c1, t1), (c2, t2), (c3, t3), (c4, t4) = tokens
-        w = _lookup(s_index, line, c1, t1, filename)
-        a = _lookup(a_index, line, c2, t2, filename)
-        w2 = _lookup(s_index, line, c3, t3, filename)
-        if (w, a, w2) in seen_cells:
-            raise DuplicateEntry(line, c1,
-                                 f"transition ({t1!r}, {t2!r}, {t3!r})", filename)
-        seen_cells.add((w, a, w2))
-        seen_rows.add((w, a))
-        transition[w, a, w2] = _number(line, c4, t4, filename)
-    for w in range(len(states)):
-        for a in range(len(actions)):
-            if (w, a) not in seen_rows:
-                raise ParseError(
-                    header_line, 1,
-                    f"no transition row for state {states[w]!r}, "
-                    f"action {actions[a]!r}", filename,
-                )
-
+    state, action = ("state", _index(states)), ("action", _index(actions))
+    n_w, n_a = len(states), len(actions)
+    header, entries = _entries(reader, "signal_map", (state,),
+                               ("signal", _index(signals)), "signal for state {!r}")
+    _cover(header, entries, (states,), "state {!r} has no signal entry", filename)
+    signal_map = _fill(np.zeros(n_w, dtype=np.int64), entries)
+    init = _fill(np.zeros(n_w), _entries(
+        reader, "init", (state,), ("prob", None), "init for state {!r}")[1])
+    payoff = _fill(np.zeros((n_w, n_a)), _entries(
+        reader, "payoff", (state, action), ("value", None), "payoff ({!r}, {!r})",
+        required=False)[1])
+    header, entries = _entries(reader, "transition",
+                               (state, action, ("next", state[1])),
+                               ("prob", None), "transition ({!r}, {!r}, {!r})")
+    _cover(header, entries, (states, actions),
+           "no transition row for state {!r}, action {!r}", filename)
+    transition = _fill(np.zeros((n_w, n_a, n_w)), entries)
     return make_model(states, actions, signals, signal_map, payoff, transition,
                       init, normalize=normalize)
 
 
-def _fmt(value):
-    return format(value, ".17g")
+def _lines(array, *names):
+    """One indented "names... value" line per nonzero entry, in C order."""
+    return [f"  {' '.join(key)} {value:.17g}"
+            for key, value in zip(itertools.product(*names), array.ravel().tolist())
+            if value != 0.0]
 
 
 def serialize_pomdp(model: PomdpModel) -> str:
     """Canonical text form; parse(serialize(m)) reproduces m exactly."""
+    states, actions = model.state_names, model.action_names
     lines = [
-        "states: " + " ".join(model.state_names),
-        "actions: " + " ".join(model.action_names),
+        "states: " + " ".join(states),
+        "actions: " + " ".join(actions),
         "signals: " + " ".join(model.signal_names),
         "signal_map:",
+        *[f"  {name} {model.signal_names[model.signal_of(w)]}"
+          for w, name in enumerate(states)],
+        "init:",
+        *_lines(model.init, states),
     ]
-    for w, name in enumerate(model.state_names):
-        lines.append(f"  {name} {model.signal_names[model.signal_of(w)]}")
-    lines.append("init:")
-    for w, name in enumerate(model.state_names):
-        if model.init[w] != 0.0:
-            lines.append(f"  {name} {_fmt(model.init[w])}")
     if np.any(model.payoff != 0.0):
-        lines.append("payoff:")
-        for w, sname in enumerate(model.state_names):
-            for a, aname in enumerate(model.action_names):
-                if model.payoff[w, a] != 0.0:
-                    lines.append(f"  {sname} {aname} {_fmt(model.payoff[w, a])}")
-    lines.append("transition:")
-    for w, sname in enumerate(model.state_names):
-        for a, aname in enumerate(model.action_names):
-            for w2, tname in enumerate(model.state_names):
-                p = model.transition[w, a, w2]
-                if p != 0.0:
-                    lines.append(f"  {sname} {aname} {tname} {_fmt(p)}")
+        lines += ["payoff:", *_lines(model.payoff, states, actions)]
+    lines += ["transition:", *_lines(model.transition, states, actions, states)]
     return "\n".join(lines) + "\n"
 
 
@@ -262,86 +254,36 @@ def parse_controller(text, model: PomdpModel,
     """Parse a finite-state controller against a model's action/signal names."""
     reader = _SectionReader(text, _FSC_SECTIONS, filename)
     memory = reader.names("memory")
-    q_index = {name: i for i, name in enumerate(memory)}
-    a_index = {name: i for i, name in enumerate(model.action_names)}
-    g_index = {name: i for i, name in enumerate(model.signal_names)}
-
-    init_memory = np.full(model.n_signals, -1, dtype=np.int64)
-    _, rows = reader.require("init")
-    for line, tokens in rows:
-        _arity(line, tokens, 2, "'signal memory'", filename)
-        (c1, t1), (c2, t2) = tokens
-        s = _lookup(g_index, line, c1, t1, filename)
-        if init_memory[s] >= 0:
-            raise DuplicateEntry(line, c1, f"init for signal {t1!r}", filename)
-        init_memory[s] = _lookup(q_index, line, c2, t2, filename)
-    if np.any(init_memory < 0):
-        header_line, _ = reader.require("init")
-        s = int(np.nonzero(init_memory < 0)[0][0])
-        raise ParseError(header_line, 1,
-                         f"signal {model.signal_names[s]!r} has no init entry",
-                         filename)
-
-    rule = np.zeros((len(memory), model.n_actions))
-    seen = set()
-    _, rows = reader.require("rule")
-    for line, tokens in rows:
-        _arity(line, tokens, 3, "'memory action prob'", filename)
-        (c1, t1), (c2, t2), (c3, t3) = tokens
-        q = _lookup(q_index, line, c1, t1, filename)
-        a = _lookup(a_index, line, c2, t2, filename)
-        if (q, a) in seen:
-            raise DuplicateEntry(line, c1, f"rule ({t1!r}, {t2!r})", filename)
-        seen.add((q, a))
-        rule[q, a] = _number(line, c3, t3, filename)
-
-    update = np.zeros((len(memory), model.n_actions, model.n_signals, len(memory)))
-    seen_rows = set()
-    seen_cells = set()
-    header_line, rows = reader.require("update")
-    for line, tokens in rows:
-        _arity(line, tokens, 5, "'memory action signal memory prob'", filename)
-        (c1, t1), (c2, t2), (c3, t3), (c4, t4), (c5, t5) = tokens
-        q = _lookup(q_index, line, c1, t1, filename)
-        a = _lookup(a_index, line, c2, t2, filename)
-        s = _lookup(g_index, line, c3, t3, filename)
-        q2 = _lookup(q_index, line, c4, t4, filename)
-        if (q, a, s, q2) in seen_cells:
-            raise DuplicateEntry(line, c1,
-                                 f"update ({t1!r}, {t2!r}, {t3!r}, {t4!r})",
-                                 filename)
-        seen_cells.add((q, a, s, q2))
-        seen_rows.add((q, a, s))
-        update[q, a, s, q2] = _number(line, c5, t5, filename)
-    for q in range(len(memory)):
-        for a in range(model.n_actions):
-            for s in range(model.n_signals):
-                if (q, a, s) not in seen_rows:
-                    raise ParseError(
-                        header_line, 1,
-                        f"no update row for memory {memory[q]!r}, action "
-                        f"{model.action_names[a]!r}, signal "
-                        f"{model.signal_names[s]!r}", filename,
-                    )
+    actions, signals = model.action_names, model.signal_names
+    mem, action = ("memory", _index(memory)), ("action", _index(actions))
+    signal = ("signal", _index(signals))
+    n_q = len(memory)
+    header, entries = _entries(reader, "init", (signal,), mem, "init for signal {!r}")
+    _cover(header, entries, (signals,), "signal {!r} has no init entry", filename)
+    init_memory = _fill(np.zeros(len(signals), dtype=np.int64), entries)
+    header, entries = _entries(reader, "rule", (mem, action), ("prob", None),
+                               "rule ({!r}, {!r})")
+    _cover(header, entries, (memory,), "no rule row for memory {!r}", filename)
+    rule = _fill(np.zeros((n_q, len(actions))), entries)
+    header, entries = _entries(reader, "update", (mem, action, signal, mem),
+                               ("prob", None), "update ({!r}, {!r}, {!r}, {!r})")
+    _cover(header, entries, (memory, actions, signals),
+           "no update row for memory {!r}, action {!r}, signal {!r}", filename)
+    update = _fill(np.zeros((n_q, len(actions), len(signals), n_q)), entries)
     return FiniteStateController(init_memory, rule, update, memory_names=memory)
 
 
 def serialize_controller(controller: FiniteStateController,
                          model: PomdpModel) -> str:
-    lines = ["memory: " + " ".join(controller.memory_names), "init:"]
-    for s, sname in enumerate(model.signal_names):
-        lines.append(f"  {sname} {controller.memory_names[controller.init_memory[s]]}")
-    lines.append("rule:")
-    for q, qname in enumerate(controller.memory_names):
-        for a, aname in enumerate(model.action_names):
-            if controller.rule[q, a] != 0.0:
-                lines.append(f"  {qname} {aname} {_fmt(controller.rule[q, a])}")
-    lines.append("update:")
-    for q, qname in enumerate(controller.memory_names):
-        for a, aname in enumerate(model.action_names):
-            for s, sname in enumerate(model.signal_names):
-                for q2, q2name in enumerate(controller.memory_names):
-                    p = controller.update[q, a, s, q2]
-                    if p != 0.0:
-                        lines.append(f"  {qname} {aname} {sname} {q2name} {_fmt(p)}")
+    memory, actions = controller.memory_names, model.action_names
+    lines = [
+        "memory: " + " ".join(memory),
+        "init:",
+        *[f"  {name} {memory[controller.init_memory[s]]}"
+          for s, name in enumerate(model.signal_names)],
+        "rule:",
+        *_lines(controller.rule, memory, actions),
+        "update:",
+        *_lines(controller.update, memory, actions, model.signal_names, memory),
+    ]
     return "\n".join(lines) + "\n"

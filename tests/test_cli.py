@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from stagepomdp.cli import run_cli
-from stagepomdp.textio import parse_pomdp, serialize_controller
+from stagepomdp.textio import parse_pomdp, serialize_controller, serialize_pomdp
 from stagepomdp.verify import mixing_controller, random_pomdp_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -108,8 +108,6 @@ def test_evaluate_conflicting_flags(capsys, fig1_file):
 def test_fsc_strategy_file(capsys, tmp_path):
     model = random_pomdp_model()
     model_path = tmp_path / "rand.pomdp"
-    from stagepomdp.textio import serialize_pomdp
-
     model_path.write_text(serialize_pomdp(model))
     ctrl_path = tmp_path / "ctrl.fsc"
     ctrl_path.write_text(serialize_controller(mixing_controller(model), model))
@@ -117,6 +115,18 @@ def test_fsc_strategy_file(capsys, tmp_path):
                        "--strategy", f"fsc:{ctrl_path}", "--average")
     assert code == 0
     assert "mode: exact" in out
+
+
+def test_fsc_missing_rule_row_exit_2(capsys, tmp_path):
+    model_path = tmp_path / "rand.pomdp"
+    model_path.write_text(serialize_pomdp(random_pomdp_model()))
+    ctrl_path = tmp_path / "ctrl.fsc"
+    ctrl_path.write_text(
+        (GOLDEN / "invalid_fsc" / "bad_missing_rule_row.fsc").read_text())
+    code, _, err = run(capsys, "evaluate", str(model_path), "--h", "0.5",
+                       "--strategy", f"fsc:{ctrl_path}", "--average")
+    assert code == 2
+    assert err == f"error: {ctrl_path}:5:1: no rule row for memory 'q1'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -157,6 +157,19 @@ def test_invalid_controller_errors(path):
     assert rendered == expected
 
 
+def test_controller_missing_rule_row():
+    # a memory with no rule entry is a positioned error at the rule: header;
+    # a row that is present but all zeros reaches the controller's own check
+    path = GOLDEN / "invalid_fsc" / "bad_missing_rule_row.fsc"
+    with pytest.raises(ParseError) as err:
+        parse_controller(path.read_text(), random_pomdp_model())
+    assert (err.value.line, err.value.column) == (5, 1)
+    assert err.value.message == "no rule row for memory 'q1'"
+    text = path.read_text().replace("  q0 a 1\n", "  q0 a 1\n  q1 b 0\n")
+    with pytest.raises(ValueError, match="mixed action sums to 0.0"):
+        parse_controller(text, random_pomdp_model())
+
+
 def _sparse_rows(rng, shape):
     """Random stochastic rows over the last axis, each with some zeros."""
     raw = rng.uniform(0.05, 1.0, size=shape) * (rng.random(shape) < 0.6)
