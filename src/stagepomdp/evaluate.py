@@ -271,6 +271,19 @@ def _discounted_exact_controller(model, controller, lam, h):
     return float(init @ values)
 
 
+def _discount(lam, h):
+    """Checked (lam, h, lam*h); ValueError if 1 - lam*h rounds to 1, where
+    the discount is lost."""
+    h = validate_stage_duration(h)
+    lam = float(lam)
+    if not (0.0 < lam <= 1.0):
+        raise ValueError(f"lambda must be in (0, 1], got {lam!r}")
+    eff = lam * h
+    if 1.0 - eff == 1.0:
+        raise ValueError(f"lam*h = {eff!r} is too small: 1 - lam*h rounds to 1")
+    return lam, h, eff
+
+
 def _tail_horizon(model, eff, tol):
     """Fewest stages T >= 1 with M (1-eff)^T <= tol, M the largest |payoff|."""
     if eff >= 1.0:
@@ -283,6 +296,9 @@ def _discounted_truncated(model, strategy, lam, h, tol, budget):
     eff = lam * h
     mh = stage_duration_transform(model, h) if h != 1.0 else model
     horizon = _tail_horizon(model, eff, tol)
+    if horizon > budget:
+        # every stage visits at least one frontier entry
+        raise BudgetExceeded(horizon, budget, "discounted enumeration")
     enum = CursorEnumeration(model, budget, "discounted enumeration")
     frontier = enum.open(model.init, strategy.start)
     total = 0.0
@@ -310,15 +326,13 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
     strategies and otherwise enumerates to a horizon with tail bound
     M*(1-lam*h)^T <= tol; 'mc' simulates to the same horizon, capped at
     ``MC_HORIZON_CAP`` stages, and reports M*(1-lam*h)^T as its bound.
-    ``tol`` must be positive and finite for every method.
+    ``tol`` must be positive and finite for every method, and
+    ``ValueError`` is raised if 1 - lam*h rounds to 1.  Enumeration raises
+    ``BudgetExceeded`` up front when T alone exceeds ``budget``.
     """
-    h = validate_stage_duration(h)
-    lam = float(lam)
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must be in (0, 1], got {lam!r}")
+    lam, h, eff = _discount(lam, h)
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    eff = lam * h
     meta = {"h": h, "lam": lam}
     if method == "exact":
         controller = controller_for(model, strategy)
@@ -512,10 +526,7 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
     counts the policy evaluations (of the full-resolution grid solve).
     ``ValueError`` if 1 - lam*h rounds to 1, where the discount is lost.
     """
-    h = validate_stage_duration(h)
-    lam = float(lam)
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must be in (0, 1], got {lam!r}")
+    lam, h, eff = _discount(lam, h)
     try:
         grid_resolution = operator.index(grid_resolution)
         valid = grid_resolution >= 2
@@ -523,9 +534,6 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
         valid = False
     if not valid:
         raise ValueError("grid_resolution must be an integer >= 2")
-    eff = lam * h
-    if 1.0 - eff == 1.0:
-        raise ValueError(f"lam*h = {eff!r} is too small: 1 - lam*h rounds to 1")
     mh = stage_duration_transform(model, h) if h != 1.0 else model
     meta = {"h": h, "lam": lam}
     if is_fully_observed(model):

@@ -376,6 +376,26 @@ def test_value_estimate_rejects_lost_discount(model):
                                   grid_resolution=8)
 
 
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("opaque", [False, True], ids=["controller", "opaque"])
+def test_discounted_payoff_rejects_lost_discount(method, opaque):
+    # the controller route raised SingularSystem; enumeration and mc ran on
+    m = random_pomdp_model()
+    strategy = uniform_controller(m)
+    with pytest.raises(ValueError, match="rounds to 1"):
+        discounted_payoff(m, Opaque(strategy) if opaque else strategy, 1e-16, 0.5,
+                          method=method)
+
+
+def test_discounted_truncation_fails_fast_on_long_horizon():
+    # 5.5e13 stages against a 1e7 budget: the enumeration used to step on
+    m = random_pomdp_model()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        discounted_payoff(m, Opaque(uniform_controller(m)), 1e-12, 0.5)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("model", [figure1_model, fully_observed_model])
 @pytest.mark.parametrize("resolution", [12.0, 12.5, "12", 1, True])
 def test_value_estimate_rejects_non_integer_resolution(model, resolution):
