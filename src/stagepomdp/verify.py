@@ -41,6 +41,16 @@ from .strategies import (
 )
 
 
+def _meets(criterion, quantities, tolerance):
+    if criterion == "abs_diff":
+        return bool(abs(quantities["difference"]) <= tolerance)
+    if criterion == "upper":
+        return bool(quantities["value"] <= tolerance)
+    if criterion == "lower":
+        return bool(quantities["value"] >= tolerance)
+    raise ValueError(f"unknown criterion {criterion!r}")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one numerical check.
@@ -58,28 +68,21 @@ class CheckReport:
     metadata: dict = field(default_factory=dict)
 
     def recomputed_pass(self):
-        if self.criterion == "abs_diff":
-            return abs(self.quantities["difference"]) <= self.tolerance
-        if self.criterion == "upper":
-            return self.quantities["value"] <= self.tolerance
-        if self.criterion == "lower":
-            return self.quantities["value"] >= self.tolerance
-        raise ValueError(f"unknown criterion {self.criterion!r}")
+        return _meets(self.criterion, self.quantities, self.tolerance)
 
 
-def _abs_report(name, lhs, rhs, tolerance, metadata=None, extra=None):
+def _report(name, quantities, tolerance, criterion="abs_diff", metadata=None):
+    """A report whose pass flag is the criterion's rule on its own numbers."""
+    tolerance = float(tolerance)
+    return CheckReport(name=name, quantities=quantities, tolerance=tolerance,
+                       passed=_meets(criterion, quantities, tolerance),
+                       criterion=criterion, metadata=metadata or {})
+
+
+def _abs_report(name, lhs, rhs, tolerance, metadata=None):
     quantities = {"lhs": float(lhs), "rhs": float(rhs),
                   "difference": float(lhs - rhs)}
-    if extra:
-        quantities.update(extra)
-    return CheckReport(
-        name=name,
-        quantities=quantities,
-        tolerance=float(tolerance),
-        passed=abs(lhs - rhs) <= tolerance,
-        criterion="abs_diff",
-        metadata=metadata or {},
-    )
+    return _report(name, quantities, tolerance, metadata=metadata)
 
 
 def render_report(report: CheckReport) -> str:
@@ -233,18 +236,16 @@ def check_marginal_lemma(model: PomdpModel, strategy: Strategy, h, k,
         if left is None:
             left = np.zeros_like(joint)
         max_err = max(max_err, float(np.max(np.abs(left - joint))))
-    tolerance = bound + 1e-9
-    return CheckReport(
-        name=f"marginal_lemma[k={k},h={h}]",
-        quantities={
+    return _report(
+        f"marginal_lemma[k={k},h={h}]",
+        {
             "difference": max_err,
             "lhs_mass": lhs_mass,
             "rhs_mass": rhs_mass,
             "lhs_expected_payoff": lhs_payoff,
             "rhs_expected_payoff": rhs_payoff,
         },
-        tolerance=tolerance,
-        passed=max_err <= tolerance,
+        bound + 1e-9,
         metadata={"truncation_bound": bound, "k": k, "h": h},
     )
 
@@ -378,13 +379,11 @@ def check_monotonicity(model: PomdpModel, h_grid, lam_grid, *,
     for left, right in zip(range(len(values) - 1), range(1, len(values))):
         slack = estimates[left].slack + estimates[right].slack + 1e-3
         min_margin = min(min_margin, values[right] - values[left] + slack)
-    return CheckReport(
-        name=f"monotonicity[h={tuple(h_grid)}]",
-        quantities={"value": float(min_margin),
-                    **{f"v_h{h}": v for h, v in zip(h_grid, values)}},
-        tolerance=0.0,
-        passed=min_margin >= 0.0,
-        criterion="lower",
+    return _report(
+        f"monotonicity[h={tuple(h_grid)}]",
+        {"value": float(min_margin),
+         **{f"v_h{h}": v for h, v in zip(h_grid, values)}},
+        0.0, "lower",
         metadata={
             "h_grid": tuple(h_grid),
             "slacks": tuple(e.slack for e in estimates),
@@ -423,34 +422,19 @@ def _example_suite(seed):
     alt = alternating_controller(fig1)
     reports = []
     at_one = longrun_average_exact_fsc(fig1, alt, 1.0).value
-    reports.append(CheckReport(
-        name="example_average_h1",
-        quantities={"value": at_one},
-        tolerance=0.999,
-        passed=at_one >= 0.999,
-        criterion="lower",
-        metadata={"strategy": "alternating"},
-    ))
+    reports.append(_report("example_average_h1", {"value": at_one}, 0.999, "lower",
+                           metadata={"strategy": "alternating"}))
     best = max(
         longrun_average_exact_fsc(fig1, ctrl, 0.5).value
         for ctrl in (alt, uniform_controller(fig1), mixing_controller(fig1))
     )
-    reports.append(CheckReport(
-        name="example_best_average_h05",
-        quantities={"value": best},
-        tolerance=1e-9,
-        passed=best <= 1e-9,
-        criterion="upper",
-        metadata={"strategies": "bundled controllers"},
-    ))
+    reports.append(_report("example_best_average_h05", {"value": best}, 1e-9, "upper",
+                           metadata={"strategies": "bundled controllers"}))
     est = asymptotic_value_estimate(fig1, 0.5)
-    reports.append(CheckReport(
-        name="example_asymptotic_h05",
-        quantities={"value": est.value, "lambda_trend": est.metadata["lambda_trend"]},
-        tolerance=0.1,
-        passed=est.value <= 0.1,
-        criterion="upper",
-        metadata={"diagnostics": dict(est.diagnostics)},
+    reports.append(_report(
+        "example_asymptotic_h05",
+        {"value": est.value, "lambda_trend": est.metadata["lambda_trend"]},
+        0.1, "upper", metadata={"diagnostics": dict(est.diagnostics)},
     ))
     reports.append(check_monotonicity(
         fig1, (0.25, 0.5, 0.75, 1.0), (0.1, 0.05, 0.02, 0.01, 0.005)
