@@ -33,6 +33,7 @@ significant digits), so parse(serialize(x)) reproduces x exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 
@@ -135,7 +136,7 @@ def _number(line, col, tok, filename):
     except ValueError:
         raise ParseError(line, col, f"expected a number, got {tok!r}",
                          filename) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(line, col, f"number must be finite, got {tok!r}",
                          filename)
     return value

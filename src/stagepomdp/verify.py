@@ -43,11 +43,11 @@ from .strategies import (
 
 def _meets(criterion, quantities, tolerance):
     if criterion == "abs_diff":
-        return bool(abs(quantities["difference"]) <= tolerance)
+        return abs(quantities["difference"]) <= tolerance
     if criterion == "upper":
-        return bool(quantities["value"] <= tolerance)
+        return quantities["value"] <= tolerance
     if criterion == "lower":
-        return bool(quantities["value"] >= tolerance)
+        return quantities["value"] >= tolerance
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
