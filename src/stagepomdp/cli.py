@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import secrets
 import sys
 
@@ -219,7 +220,9 @@ def _cmd_example(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process on first use."""
     parser = _Parser(prog="stagepomdp",
                      description="POMDPs with stage duration: transforms, "
                                  "mimicking strategies, payoff evaluation and "
@@ -286,9 +289,8 @@ def _build_parser():
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -368,7 +368,9 @@ def _policy_iteration(rewards, succ_mass, succ_idx, eff, solve):
 
     ``solve(policy)`` solves (I - (1-eff) P_pi) v = rewards_pi.  A point
     keeps its action unless another beats it by more than
-    ``POLICY_TIE_TOL``, so ties cannot cycle.
+    ``POLICY_TIE_TOL``, so ties cannot cycle.  The residual is at least the
+    spacing of the largest value, since a residual that rounds to 0 proves
+    nothing.
     """
     rows = np.arange(rewards.shape[0])
     policy = rewards.argmax(axis=1)
@@ -380,7 +382,8 @@ def _policy_iteration(rewards, succ_mass, succ_idx, eff, solve):
         residual = float(np.max(np.abs(q[rows, best] - values)))
         keep = q[rows, policy] >= q[rows, best] - POLICY_TIE_TOL
         if keep.all():
-            return values, residual, steps
+            floor = float(np.spacing(np.abs(values).max()))
+            return values, max(residual, floor), steps
         policy = np.where(keep, policy, best)
     raise NotConverged(MAX_POLICY_STEPS, residual)
 

@@ -24,7 +24,9 @@ Two exact routes are implemented:
 * opaque sources and larger tables: enumeration over epoch lengths and
   the intermediate actions inside each epoch, truncated at ``n_max``
   stages per epoch, on the shared
-  :class:`~stagepomdp.strategies.CursorEnumeration`.
+  :class:`~stagepomdp.strategies.CursorEnumeration`.  An epoch is the
+  truncated analogue of W_s = E[M_s^(N-1)] over cursor ids, its cursors
+  holding plain-float multiples of the epoch's one state vector.
 """
 
 from __future__ import annotations
@@ -176,44 +178,61 @@ class EpochOperatorEngine:
         return filt, signal
 
 
+def _enumerated_epoch(enum, weights, signal, pinned, h, n_max):
+    """One epoch of the truncated enumeration over cursor ids.
+
+    The state is frozen inside an epoch, so every branch's state mass is a
+    multiple of the epoch's one state vector and ``weights`` maps cursor ids
+    to those multiples as plain floats.  Each stage m < ``n_max`` ends the
+    epoch with weight h (1-h)^m: its cursors' action laws add to the epoch's
+    mixed boundary-action law, and unless ``pinned`` is None its (action,
+    next signal) carries their weights to the child ids.  Returns the
+    carried weights and the mixed law.
+    """
+    following, mixed = {}, [0.0] * enum.n_actions
+    geom = h
+    for m in range(n_max):
+        expanding = m + 1 < n_max and h < 1.0
+        grown = {}
+        for i, weight, alpha in enum.visit(weights):
+            law = alpha.tolist()
+            ended = geom * weight
+            if pinned is not None and law[pinned[0]] > 0.0:
+                enum.merge(following, enum.table.child(i, *pinned),
+                           ended * law[pinned[0]])
+            for a, p in enumerate(law):
+                mixed[a] += ended * p
+                if expanding and p > 0.0:
+                    enum.merge(grown, enum.table.child(i, a, signal), weight * p)
+        geom *= 1.0 - h
+        if not grown or geom == 0.0:
+            break
+        # at an epoch's end the cursors stay for the next epoch's stages
+        weights, following = enum.keep(weights, grown, following)
+    return following, mixed
+
+
 def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
     """Truncated-exact joint over (boundary state, boundary action).
 
-    Enumerates each epoch's stages up to ``n_max`` with the state frozen,
-    merging cursors by key into one frontier of state-mass vectors per
-    epoch.  The stage ending an epoch (weight h (1-h)^m) plays the pinned
-    boundary action into the next epoch's frontier, or, in the last epoch,
-    adds its (state, action) law to the joint.
+    An epoch is the truncated analogue of W_s = E[M_s^(N-1)] over cursor
+    ids: :func:`_enumerated_epoch` mixes the cursors over the epoch's
+    length, up to ``n_max`` stages, with plain-float weights.  The state
+    vector, the same for every cursor, moves only at the pinned boundaries,
+    and the joint is its outer product with the last epoch's mixed law.
     """
     enum = CursorEnumeration(model, budget, "epoch enumeration")
-    frontier = enum.open(
-        np.where(model.signal_map == fil.first_signal, model.init, 0.0), strategy.start)
+    state = np.where(model.signal_map == fil.first_signal, model.init, 0.0)
+    weights = dict.fromkeys(enum.open(state, strategy.start), 1.0)
     signal = fil.first_signal
-    joint = np.zeros((model.n_states, model.n_actions))
-    for boundary in fil.steps + (None,):
-        following = {}
-        geom = h
-        for m in range(n_max):
-            expanding = m + 1 < n_max and h < 1.0
-            grown = {}
-            for i, mass, alpha in enum.visit(frontier):
-                if boundary is None:
-                    joint += np.outer(geom * mass, alpha)
-                else:
-                    enum.step(following, i, geom * mass, alpha, model.transition,
-                              action=boundary[0], signal=boundary[1])
-                if expanding:
-                    for a in np.nonzero(alpha > 0.0)[0].tolist():
-                        enum.merge(grown, enum.table.child(i, a, signal),
-                                   mass * alpha[a])
-            geom *= 1.0 - h
-            if not grown or geom == 0.0:
-                break
-            # at an epoch's end the cursors stay for the next epoch's stages
-            frontier, following = enum.keep(frontier, grown, following)
-        if boundary is not None:
-            frontier, signal = following, boundary[1]
-    return joint
+    for action, next_signal in fil.steps:
+        state = np.where(model.signal_map == next_signal,
+                         state @ model.transition[:, action, :], 0.0)
+        pinned = (action, next_signal) if state.any() else None
+        weights, _ = _enumerated_epoch(enum, weights, signal, pinned, h, n_max)
+        signal = next_signal
+    _, mixed = _enumerated_epoch(enum, weights, signal, None, h, n_max)
+    return np.outer(state, mixed)
 
 
 def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistory,

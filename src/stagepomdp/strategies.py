@@ -447,16 +447,20 @@ class CursorEnumeration:
 
     def __init__(self, model: PomdpModel, budget, what):
         self.signal_map = model.signal_map
+        self.n_actions = model.n_actions
+        # onehot[s, w] is 1 where state w shows signal s
+        self.onehot = (model.signal_map == np.arange(model.n_signals)[:, None]) * 1.0
         self.table = CursorTable(model.n_actions, model.n_signals)
         self.budget = budget
         self.what = what
         self.visits = 0
 
     def open(self, mass, start):
-        """First-stage frontier: ``mass`` split by signal s, held by ``start(s)``."""
+        """First-stage frontier: ``mass`` split by signal s, held by ``start(s)``,
+        in the order of each signal's first state carrying mass."""
         frontier = {}
-        for s, part in self._split(mass):
-            self.merge(frontier, self.table.intern(start(s)), part)
+        for s in dict.fromkeys(self.signal_map[mass > 0.0].tolist()):
+            self.merge(frontier, self.table.intern(start(s)), mass * self.onehot[s])
         return frontier
 
     def visit(self, frontier):
@@ -467,19 +471,18 @@ class CursorEnumeration:
         for i, mass in frontier.items():
             yield i, mass, self.table.law(i)
 
-    def step(self, into, i, mass, alpha, kernel, *, action=None, signal=None):
+    def step(self, into, i, mass, alpha, kernel):
         """Push cursor ``i``'s mass through one stage into the frontier ``into``:
-        each action a in the support of ``alpha`` (or only ``action``) moves
-        it to ``(mass @ kernel[:, a, :]) * alpha[a]``, split by next signal (or
-        kept on ``signal``) and merged under the child of ``i`` by
-        (a, signal)."""
-        if action is None:
-            actions = np.nonzero(alpha > 0.0)[0].tolist()
-        else:
-            actions = [action] if alpha[action] > 0.0 else []
-        for a in actions:
-            for s, part in self._split((mass @ kernel[:, a, :]) * alpha[a], signal):
-                self.merge(into, self.table.child(i, a, s), part)
+        each action a moves it to ``(mass @ kernel[:, a, :]) * alpha[a]``, split
+        by next signal and merged under the child of ``i`` by (a, signal), in
+        the order of actions and then of each signal's first state with mass."""
+        # one product per action, the same sums as mass @ kernel[:, a, :]
+        moved = (mass @ kernel.transpose(1, 0, 2)) * alpha[:, None]
+        parts = moved[:, None, :] * self.onehot
+        actions, states = (moved > 0.0).nonzero()
+        pairs = zip(actions.tolist(), self.signal_map[states].tolist())
+        for a, s in dict.fromkeys(pairs):
+            self.merge(into, self.table.child(i, a, s), parts[a, s])
 
     def keep(self, visited, *built):
         """Keep in the table only the cursors of the frontier just visited and
@@ -490,18 +493,6 @@ class CursorEnumeration:
             return built
         remap = self.table.keep(list(held)).tolist()
         return tuple({remap[i]: mass for i, mass in f.items()} for f in built)
-
-    def _split(self, mass, signal=None):
-        """``(s, mass on signal s)`` per signal carrying mass, in the order of its
-        first such state; only ``signal`` when given."""
-        if signal is None:
-            signals = dict.fromkeys(self.signal_map[mass > 0.0].tolist())
-        else:
-            signals = (signal,)
-        for s in signals:
-            part = np.where(self.signal_map == s, mass, 0.0)
-            if part.any():
-                yield s, part
 
     @staticmethod
     def merge(frontier, i, mass):

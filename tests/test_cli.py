@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from stagepomdp import cli
 from stagepomdp.cli import run_cli
 from stagepomdp.textio import parse_pomdp, serialize_controller, serialize_pomdp
 from stagepomdp.verify import mixing_controller, random_pomdp_model
@@ -147,6 +148,31 @@ def test_out_of_range_input_exit_2(capsys, fig1_file, tmp_path, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_calls_in_a_row_share_no_options(capsys, fig1_file, monkeypatch):
+    # one parser serves every call in a process; no option of one call may
+    # reach the next
+    asked = []
+    build = cli.build_mimic_strategy
+
+    def recording(*args, n_max):
+        asked.append(n_max)
+        return build(*args, n_max=n_max)
+
+    monkeypatch.setattr(cli, "build_mimic_strategy", recording)
+    argv = ["mimic", str(fig1_file), "--h", "0.5", "--strategy", "seq:a,b",
+            "--history", "s1"]
+    capped = run(capsys, *argv, "--n-max", "5")
+    plain = run(capsys, *argv)
+    assert asked == [5, None]
+    assert capped == plain and plain[0] == 0
+    for bad in (["--n-max", "0"], ["--bogus"]):
+        code, _, err = run(capsys, *argv, *bad)
+        assert code == 2 and err.startswith("error:")
+        assert run(capsys, *argv) == plain
+    assert asked == [5, None, 0, None, None]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_unknown_strategy_spec(capsys, fig1_file):

@@ -528,6 +528,16 @@ def test_belief_grid_stopping_bound_covers_bellman_residual():
         assert est.diagnostics["stopping_bound"] >= residual * (1.0 - eff) / eff
 
 
+def test_tabular_stopping_bound_covers_a_residual_lost_to_rounding():
+    # at lam = 3e-16 the Bellman residual rounds to 0 while the solve is off
+    # by about 0.15; the bound must still cover the distance to the value
+    tiny = discounted_value_estimate(fully_observed_model(), 3e-16, 1.0)
+    near = discounted_value_estimate(fully_observed_model(), 1e-9, 1.0)
+    assert tiny.diagnostics["stopping_bound"] > 0.0
+    slack = tiny.diagnostics["stopping_bound"] + near.diagnostics["stopping_bound"]
+    assert abs(tiny.value - near.value) <= slack + 1e-6
+
+
 def test_asymptotic_estimate_requires_decreasing_grid():
     m = figure1_model()
     with pytest.raises(ValueError):

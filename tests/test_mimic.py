@@ -1,14 +1,20 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stagepomdp.epochs import ExtendedTrajectory, worker_rng
 from stagepomdp.errors import (
+    BudgetExceeded,
     InsufficientEpochs,
     NoAcceptedSamples,
     TruncationDominates,
 )
 from stagepomdp.evaluate import (
+    _discounted_truncated,
+    _tail_horizon,
     cesaro_average,
     discounted_payoff,
     longrun_average_exact_fsc,
@@ -16,6 +22,7 @@ from stagepomdp.evaluate import (
 )
 from stagepomdp.mimic import (
     MimicStrategy,
+    _filtered_joint_enumerated,
     build_filter_machine,
     build_mimic_strategy,
     default_truncation,
@@ -25,10 +32,12 @@ from stagepomdp.mimic import (
     mimic_action_mc,
     truncation_bound,
 )
-from stagepomdp.model import make_model
+from stagepomdp.model import make_model, stage_duration_transform
 from stagepomdp.strategies import (
+    CursorEnumeration,
     FiniteStateController,
     History,
+    ReplayCursor,
     SequenceStrategy,
     TableStrategy,
     exact_history_distribution,
@@ -254,6 +263,149 @@ def random_controller_case(seed, n_states, n_actions, n_signals, n_memory):
                                  rule / rule.sum(axis=1, keepdims=True),
                                  update / update.sum(axis=3, keepdims=True))
     return model, ctrl
+
+
+# --- per-stage reference enumerators -------------------------------------------
+# One state-mass vector per cursor id, pushed through every stage by one
+# product per (action, signal); the enumerators must match them entry for
+# entry, with the same visits.
+
+def reference_step(enum, into, i, mass, alpha, kernel, action=None, signal=None):
+    """Each action in the support of ``alpha`` (or only ``action``) moves the
+    mass to ``(mass @ kernel[:, a, :]) * alpha[a]``, split by next signal (or
+    kept on ``signal``) and merged under the child of ``i``."""
+    if action is None:
+        actions = np.nonzero(alpha > 0.0)[0].tolist()
+    else:
+        actions = [action] if alpha[action] > 0.0 else []
+    for a in actions:
+        moved = (mass @ kernel[:, a, :]) * alpha[a]
+        if signal is None:
+            signals = dict.fromkeys(enum.signal_map[moved > 0.0].tolist())
+        else:
+            signals = (signal,)
+        for s in signals:
+            part = np.where(enum.signal_map == s, moved, 0.0)
+            if part.any():
+                enum.merge(into, enum.table.child(i, a, s), part)
+
+
+def reference_joint(model, strategy, h, fil, n_max):
+    """``(joint, visits)`` of the filtered joint, stage by stage."""
+    enum = CursorEnumeration(model, math.inf, "reference")
+    frontier = enum.open(
+        np.where(model.signal_map == fil.first_signal, model.init, 0.0), strategy.start)
+    signal = fil.first_signal
+    joint = np.zeros((model.n_states, model.n_actions))
+    for boundary in fil.steps + (None,):
+        following = {}
+        geom = h
+        for m in range(n_max):
+            expanding = m + 1 < n_max and h < 1.0
+            grown = {}
+            for i, mass, alpha in enum.visit(frontier):
+                if boundary is None:
+                    joint += np.outer(geom * mass, alpha)
+                else:
+                    reference_step(enum, following, i, geom * mass, alpha,
+                                   model.transition, action=boundary[0],
+                                   signal=boundary[1])
+                if expanding:
+                    for a in np.nonzero(alpha > 0.0)[0].tolist():
+                        enum.merge(grown, enum.table.child(i, a, signal),
+                                   mass * alpha[a])
+            geom *= 1.0 - h
+            if not grown or geom == 0.0:
+                break
+            frontier, following = enum.keep(frontier, grown, following)
+        if boundary is not None:
+            frontier, signal = following, boundary[1]
+    return joint, enum.visits
+
+
+def reference_discounted(model, strategy, lam, h, tol):
+    """``(value, horizon, visits)`` of the truncated discounted payoff."""
+    eff = lam * h
+    mh = stage_duration_transform(model, h) if h != 1.0 else model
+    horizon = _tail_horizon(model, eff, tol)
+    enum = CursorEnumeration(model, math.inf, "reference")
+    frontier = enum.open(model.init, strategy.start)
+    total = 0.0
+    weight = eff
+    for stage in range(horizon):
+        grown = {}
+        for i, mass, alpha in enum.visit(frontier):
+            total += weight * float(mass @ model.payoff @ alpha)
+            if stage + 1 < horizon:
+                reference_step(enum, grown, i, mass, alpha, mh.transition)
+        weight *= 1.0 - eff
+        if not grown or weight == 0.0:
+            break
+        frontier, = enum.keep(frontier, grown)
+    return total, horizon, enum.visits
+
+
+def reference_histories(model, strategy, depth):
+    """``exact_history_distribution``, stage by stage."""
+    enum = CursorEnumeration(model, math.inf, "reference")
+    frontier = enum.open(model.init, lambda s: ReplayCursor(strategy, History(s)))
+    for _ in range(depth - 1):
+        grown = {}
+        for i, mass, alpha in enum.visit(frontier):
+            reference_step(enum, grown, i, mass, alpha, model.transition)
+        frontier, = enum.keep(frontier, grown)
+    histories = list(enum.table.ids)
+    return {(histories[i], int(w)): float(probs[w])
+            for i, probs in frontier.items() for w in np.nonzero(probs > 0.0)[0]}
+
+
+def assert_budget_is(run, visits):
+    """``run(budget)`` succeeds at ``visits`` and raises one below."""
+    run(visits)
+    with pytest.raises(BudgetExceeded):
+        run(visits - 1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4),
+       n_actions=st.integers(1, 3), n_signals=st.integers(1, 2),
+       n_memory=st.integers(1, 3), length=st.integers(1, 3),
+       n_max=st.integers(1, 6), h=st.sampled_from([0.3, 0.5, 1.0]))
+def test_enumerators_match_per_stage_reference(seed, n_states, n_actions, n_signals,
+                                               n_memory, length, n_max, h):
+    model, ctrl = random_controller_case(seed, n_states, n_actions, n_signals,
+                                         n_memory)
+    if seed % 2:
+        # state 0 shows the last signal, so signals in the order of their first
+        # state are not in index order
+        flipped = model.n_signals - 1 - model.signal_map
+        model = dataclasses.replace(model, signal_map=flipped)
+    strategy = Opaque(ctrl)
+    expected = reference_histories(model, strategy, length)
+    got = exact_history_distribution(model, strategy, length)
+    assert list(got) == list(expected)
+    assert all(abs(got[key] - p) <= 1e-14 for key, p in expected.items())
+
+    # a history of positive probability at h = 1 and two of probability 0
+    support = list(dict.fromkeys(hist for hist, _ in expected))
+    every = [History(s) for s in range(model.n_signals)]
+    for _ in range(length - 1):
+        every = [hist.child(a, s) for hist in every
+                 for a in range(n_actions) for s in range(model.n_signals)]
+    null = [hist for hist in every if hist not in support]
+    for fil in [support[seed % len(support)]] + null[:2]:
+        joint, visits = reference_joint(model, strategy, h, fil, n_max)
+        got = _filtered_joint_enumerated(model, strategy, h, fil, n_max, visits)
+        assert np.max(np.abs(got - joint)) <= 1e-14
+        assert_budget_is(lambda budget: _filtered_joint_enumerated(
+            model, strategy, h, fil, n_max, budget), visits)
+
+    value, horizon, visits = reference_discounted(model, strategy, 1.0, h, 0.3)
+    got, _, got_horizon = _discounted_truncated(model, strategy, 1.0, h, 0.3, visits)
+    assert got_horizon == horizon
+    assert abs(got - value) <= 1e-14
+    assert_budget_is(lambda budget: _discounted_truncated(
+        model, strategy, 1.0, h, 0.3, budget), visits)
 
 
 def depth_two_table(model):
