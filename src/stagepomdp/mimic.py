@@ -215,11 +215,10 @@ def _enumerated_epoch(enum, weights, signal, pinned, h, n_max):
 def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
     """Truncated-exact joint over (boundary state, boundary action).
 
-    An epoch is the truncated analogue of W_s = E[M_s^(N-1)] over cursor
-    ids: :func:`_enumerated_epoch` mixes the cursors over the epoch's
-    length, up to ``n_max`` stages, with plain-float weights.  The state
-    vector, the same for every cursor, moves only at the pinned boundaries,
-    and the joint is its outer product with the last epoch's mixed law.
+    Each epoch is one :func:`_enumerated_epoch`, the truncated analogue of
+    W_s = E[M_s^(N-1)] over cursor ids.  The state vector, shared by every
+    cursor, moves only at the pinned boundaries, and the joint is its outer
+    product with the last epoch's mixed law.
     """
     enum = CursorEnumeration(model, budget, "epoch enumeration")
     state = np.where(model.signal_map == fil.first_signal, model.init, 0.0)

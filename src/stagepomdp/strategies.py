@@ -440,9 +440,10 @@ class CursorEnumeration:
     """Forward enumeration of strategy cursors, one stage at a time.
 
     A frontier maps a cursor id of :attr:`table` to the vector over states
-    of the mass of every branch whose cursor has that merge key; cursors do
-    not depend on the state, so this merge is exact.  Each :meth:`visit`
-    charges the frontier to ``budget``.
+    (or, where all share one vector, the plain-float multiple) of the mass
+    of every branch whose cursor has that merge key; cursors do not depend
+    on the state, so this merge is exact.  Each :meth:`visit` charges the
+    frontier to ``budget``.
     """
 
     def __init__(self, model: PomdpModel, budget, what):
