@@ -155,11 +155,11 @@ def simulate_gh(model: PomdpModel, strategy: Strategy, h, horizon,
 
 
 def simulate_epochs_gh(model: PomdpModel, strategy: Strategy, h, k,
-                       seed_or_rng, extra_stages=0, min_horizon=0):
-    """Simulate k complete epochs (plus extra stages, up to a minimum horizon).
+                       seed_or_rng, min_horizon=0):
+    """Simulate k complete epochs (plus stages up to a minimum horizon).
 
     Returns ``(trajectory, epochs)`` where the trajectory has horizon
-    ``max(T_k + extra_stages, min_horizon)``.  Drawing the epoch lengths
+    ``max(T_k, min_horizon)``.  Drawing the epoch lengths
     first and fixing the mark schedule is equivalent in law because the
     marks are independent of states and actions.
     """
@@ -167,7 +167,7 @@ def simulate_epochs_gh(model: PomdpModel, strategy: Strategy, h, k,
     rng = as_generator(seed_or_rng)
     epochs = sample_epochs(h, k, rng)
     t_k = int(epochs.boundaries[-1])
-    horizon = max(t_k + int(extra_stages), int(min_horizon))
+    horizon = max(t_k, int(min_horizon))
     marks = np.zeros(horizon, dtype=np.int8)
     marks[epochs.boundaries[1:] - 1] = 1
     if horizon > t_k:

@@ -26,7 +26,6 @@ from .errors import (
     NotConverged,
     SingularSystem,
 )
-from .mimic import FilterMachine
 from .model import (
     PomdpModel,
     is_fully_observed,
@@ -194,8 +193,9 @@ def controller_product_chain(model: PomdpModel, controller: FiniteStateControlle
     return chain, init.reshape(-1), payoffs
 
 
-def machine_product_chain(model: PomdpModel, machine: FilterMachine):
-    """Markov chain on (state, filter node) for a mimic automaton in the base model."""
+def machine_product_chain(model: PomdpModel, machine):
+    """Markov chain on (state, filter node) for a mimic automaton, a
+    :class:`~stagepomdp.mimic.FilterMachine`, in the base model."""
     return controller_product_chain(model, machine.controller)
 
 

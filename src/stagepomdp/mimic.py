@@ -10,30 +10,31 @@ strategy plays, at a base-model history eta, the conditional law of the
 k-th boundary action given that the filtered history equals eta; on null
 events it plays the fixed uniform fallback.
 
-Two exact routes are implemented:
+The state is frozen inside an epoch, so the filtered forward measure over
+(state, source memory) is a state vector, moved only at the boundaries,
+times the source's memory.  One walk, :func:`_filtered_joint`, serves both
+exact routes, which differ only in the epoch mixer that carries the memory:
 
 * controller sources (every strategy with a
   :meth:`~stagepomdp.strategies.Strategy.controller`: controllers,
   sequences, tables up to ``MAX_TABLE_MEMORIES`` memories and mimics of
-  these): the filtered forward measure over (state, memory) factorizes into
-  (state filter) x (memory filter), epoch-length mixing is the closed-form
-  geometric-series operator, and there is no truncation.  The mimic of such
-  a source is itself a finite controller of the base model
+  these): a memory-mass vector through the closed-form geometric-series
+  operator W_s = E[M_s^(N-1)], with no truncation.  The mimic of such a
+  source is itself a finite controller of the base model
   (:meth:`MimicStrategy.controller`, which :func:`build_filter_machine`
   returns as a :class:`FilterMachine`);
-* opaque sources and larger tables: enumeration over epoch lengths and
-  the intermediate actions inside each epoch, truncated at ``n_max``
-  stages per epoch, on the shared
-  :class:`~stagepomdp.strategies.CursorEnumeration`.  An epoch is the
-  truncated analogue of W_s = E[M_s^(N-1)] over cursor ids, its cursors
-  holding plain-float multiples of the epoch's one state vector.
+* opaque sources and larger tables: plain-float weights over cursor ids,
+  enumerated over epoch lengths and the intermediate actions inside each
+  epoch and truncated at ``n_max`` stages per epoch on the shared
+  :class:`~stagepomdp.strategies.CursorEnumeration`, the truncated
+  analogue of W_s.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,12 +63,12 @@ FilteredHistory = History
 DEFAULT_TAIL_MASS = 1e-9
 
 
-def default_truncation(h, tail=DEFAULT_TAIL_MASS):
-    """Smallest N with (1-h)^N <= tail; 1 when h == 1."""
+def default_truncation(h):
+    """Smallest N with (1-h)^N <= ``DEFAULT_TAIL_MASS``; 1 when h == 1."""
     h = validate_stage_duration(h)
     if h == 1.0:
         return 1
-    return max(1, math.ceil(math.log(tail) / math.log1p(-h)))
+    return max(1, math.ceil(math.log(DEFAULT_TAIL_MASS) / math.log1p(-h)))
 
 
 def truncation_bound(h, k, n_max):
@@ -130,54 +131,6 @@ class MimicActionEstimate:
         return self.n_accepted / self.n_samples
 
 
-class EpochOperatorEngine:
-    """Exact filtered-forward propagation for controller sources.
-
-    Within an epoch the controller memory evolves by the signal-fixed chain
-    M_s[q, q'] = sum_a rule[q, a] update[q, a, s, q']; mixing over the
-    geometric epoch length gives W_s = E[M_s^(N-1)] in closed form.  The
-    filtered forward measure F_k over (state, memory) then advances by one
-    dense contraction per epoch, with no truncation error.
-    """
-
-    def __init__(self, model: PomdpModel, controller: FiniteStateController, h):
-        self.model = model
-        self.controller = controller
-        self.h = validate_stage_duration(h)
-        self.within = np.einsum("qa,qasr->sqr", controller.rule, controller.update)
-        # within[s] is M_s; mixed[s] is W_s
-        self.mixed = np.stack(
-            [epoch_memory_operator(self.within[s], self.h)
-             for s in range(model.n_signals)]
-        )
-
-    def initial_filter(self, first_signal):
-        state = np.where(self.model.signal_map == first_signal, self.model.init, 0.0)
-        return np.outer(state, self.controller.start(first_signal).belief)
-
-    def boundary_joint(self, filt, epoch_signal):
-        """Unnormalized joint over (boundary state, boundary action)."""
-        return filt @ self.mixed[epoch_signal] @ self.controller.rule
-
-    def advance(self, filt, epoch_signal, action, next_signal):
-        """Push the filter through one pinned boundary (action, next signal)."""
-        model, ctrl = self.model, self.controller
-        mixed = filt @ self.mixed[epoch_signal]          # (W, Q) over memory at T_k
-        mixed = mixed * ctrl.rule[:, action][None, :]    # pin the boundary action
-        moved = model.transition[:, action, :].T @ mixed  # (W', Q)
-        moved[model.signal_map != next_signal, :] = 0.0
-        return moved @ ctrl.update[:, action, next_signal, :]
-
-    def filtered_forward(self, fil: FilteredHistory):
-        """Unnormalized filter after conditioning on a whole filtered history."""
-        filt = self.initial_filter(fil.first_signal)
-        signal = fil.first_signal
-        for action, next_signal in fil.steps:
-            filt = self.advance(filt, signal, action, next_signal)
-            signal = next_signal
-        return filt, signal
-
-
 def _enumerated_epoch(enum, weights, signal, pinned, h, n_max):
     """One epoch of the truncated enumeration over cursor ids.
 
@@ -212,26 +165,50 @@ def _enumerated_epoch(enum, weights, signal, pinned, h, n_max):
     return following, mixed
 
 
-def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
-    """Truncated-exact joint over (boundary state, boundary action).
+def _closed_epoch(controller, mixed, memory, signal, pinned):
+    """One epoch of a controller source: ``memory`` is the mass over source
+    memories at the epoch's start and ``mixed[signal]`` is W_s.  Returns the
+    mass after the ``pinned`` (action, next signal), or the boundary-action
+    law when ``pinned`` is None."""
+    memory = memory @ mixed[signal]
+    if pinned is None:
+        return None, memory @ controller.rule
+    action, next_signal = pinned
+    return (memory * controller.rule[:, action]) @ controller.update[
+        :, action, next_signal, :], None
 
-    Each epoch is one :func:`_enumerated_epoch`, the truncated analogue of
-    W_s = E[M_s^(N-1)] over cursor ids.  The state vector, shared by every
-    cursor, moves only at the pinned boundaries, and the joint is its outer
-    product with the last epoch's mixed law.
+
+def _filtered_joint(model, fil, carried, epoch):
+    """Joint over (boundary state, boundary action) at the end of ``fil``:
+    the state vector times the last epoch's law.  ``epoch(carried, signal,
+    pinned)`` mixes one epoch of the source from its ``carried`` memory and
+    returns ``(carried, law)``: the memory after ``pinned`` (action, next
+    signal), or the law when ``pinned`` is None.  A null boundary still runs
+    its epoch, so an enumeration charges the same visits, and gives zeros.
     """
-    enum = CursorEnumeration(model, budget, "epoch enumeration")
     state = np.where(model.signal_map == fil.first_signal, model.init, 0.0)
-    weights = dict.fromkeys(enum.open(state, strategy.start), 1.0)
     signal = fil.first_signal
     for action, next_signal in fil.steps:
         state = np.where(model.signal_map == next_signal,
                          state @ model.transition[:, action, :], 0.0)
-        pinned = (action, next_signal) if state.any() else None
-        weights, _ = _enumerated_epoch(enum, weights, signal, pinned, h, n_max)
+        if not state.any():
+            epoch(carried, signal, None)
+            return np.zeros((model.n_states, model.n_actions))
+        carried, _ = epoch(carried, signal, (action, next_signal))
         signal = next_signal
-    _, mixed = _enumerated_epoch(enum, weights, signal, None, h, n_max)
-    return np.outer(state, mixed)
+    _, law = epoch(carried, signal, None)
+    return state[:, None] * np.asarray(law)
+
+
+def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
+    """Truncated-exact joint over (boundary state, boundary action): the
+    walk of :func:`_filtered_joint` with one :func:`_enumerated_epoch` per
+    epoch, from weight 1 on each cursor of the first signal."""
+    enum = CursorEnumeration(model, budget, "epoch enumeration")
+    state = np.where(model.signal_map == fil.first_signal, model.init, 0.0)
+    weights = dict.fromkeys(enum.open(state, strategy.start), 1.0)
+    return _filtered_joint(model, fil, weights,
+                           partial(_enumerated_epoch, enum, h=h, n_max=n_max))
 
 
 def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistory,
@@ -308,12 +285,12 @@ def mimic_action_mc(model: PomdpModel, strategy: Strategy, h,
 
 
 class MimicStrategy(Strategy):
-    """The mimicking strategy as a lazily evaluated, memoized Strategy.
+    """The mimicking strategy as a lazily evaluated Strategy.
 
     ``act`` is the conditional boundary-action law of the source strategy
-    given the filtered history (uniform fallback on null histories); results
-    are cached by history.  ``mimic_action`` exposes the certification data
-    alongside the weights.
+    given the filtered history (uniform fallback on null histories), not
+    cached: cursor tables ask each history once.  ``mimic_action`` adds the
+    certification data; ``mixed[s]`` is W_s of a controller source.
     """
 
     def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None,
@@ -322,18 +299,20 @@ class MimicStrategy(Strategy):
         self.source = source
         self.h = validate_stage_duration(h)
         self.n_actions = model.n_actions
-        controller = controller_for(model, source)
-        self.engine = (EpochOperatorEngine(model, controller, self.h)
-                       if controller is not None else None)
-        if n_max is None and self.engine is None:
+        self.source_controller = ctrl = controller_for(model, source)
+        self.mixed = None
+        if ctrl is not None:
+            within = np.einsum("qa,qasr->sqr", ctrl.rule, ctrl.update)
+            # within[s] is M_s; mixed[s] is W_s
+            self.mixed = np.stack([epoch_memory_operator(within[s], self.h)
+                                   for s in range(model.n_signals)])
+        elif n_max is None:
             n_max = default_truncation(self.h)
         if n_max is not None and n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max!r}")
         self.n_max = n_max
         self.budget = budget
         self._controller = None
-        self._memo = {}
-        self._memo_lock = threading.Lock()
 
     def controller(self, n_signals):
         """The mimic as a controller of the base model, built once; None for
@@ -347,12 +326,12 @@ class MimicStrategy(Strategy):
         so its rows stay stochastic.  The epoch operator's roundoff below 0
         is clipped.
         """
-        if self.engine is None:
+        ctrl = self.source_controller
+        if ctrl is None:
             return None
         if self._controller is None:
-            ctrl = self.engine.controller
             n_q, n_s = ctrl.n_memory, self.model.n_signals
-            mixed = np.clip(self.engine.mixed, 0.0, None)
+            mixed = np.clip(self.mixed, 0.0, None)
             joint = np.einsum("sqr,ra->qsar", mixed, ctrl.rule)
             rule = joint.sum(axis=3)
             posterior = np.divide(joint, rule[..., None],
@@ -372,9 +351,11 @@ class MimicStrategy(Strategy):
         enumeration.  An action or signal of ``fil`` out of the model's range
         raises ValueError."""
         _check_range(self.model, fil)
-        if self.engine is not None:
-            filt, signal = self.engine.filtered_forward(fil)
-            return self.engine.boundary_joint(filt, signal), 0.0
+        ctrl = self.source_controller
+        if ctrl is not None:
+            start = ctrl.start(fil.first_signal).belief
+            return _filtered_joint(self.model, fil, start, partial(
+                _closed_epoch, ctrl, self.mixed)), 0.0
         joint = _filtered_joint_enumerated(self.model, self.source, self.h, fil,
                                            self.n_max, self.budget)
         return joint, truncation_bound(self.h, fil.length, self.n_max)
@@ -383,15 +364,7 @@ class MimicStrategy(Strategy):
         return _conditional(*self.filtered_joint(history))
 
     def act(self, history: History) -> np.ndarray:
-        with self._memo_lock:
-            cached = self._memo.get(history)
-        if cached is not None:
-            return cached
-        weights = self.mimic_action(history).weights
-        with self._memo_lock:
-            if len(self._memo) < self.budget:
-                self._memo[history] = weights
-        return weights
+        return self.mimic_action(history).weights
 
     def start(self, first_signal):
         """The cursor of the mimic's controller, or a replay cursor for an

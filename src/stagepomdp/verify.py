@@ -217,10 +217,10 @@ def check_marginal_lemma(model: PomdpModel, strategy: Strategy, h, k,
     h = validate_stage_duration(h)
     mimic = build_mimic_strategy(model, strategy, h, n_max)
     base_dist = exact_history_distribution(model, mimic, k)
-    lhs = {}
+    states = {}
     for (eta, w), p in base_dist.items():
-        mat = lhs.setdefault(eta, np.zeros((model.n_states, model.n_actions)))
-        mat[w] += p * mimic.act(eta)
+        states.setdefault(eta, np.zeros(model.n_states))[w] = p
+    lhs = {eta: mass[:, None] * mimic.act(eta) for eta, mass in states.items()}
     max_err = 0.0
     bound = 0.0
     lhs_mass = sum(float(m.sum()) for m in lhs.values())
@@ -299,32 +299,33 @@ def check_cesaro_alignment(model: PomdpModel, strategy: Strategy, h, big_k,
     )
 
 
-def liminf_trailing(seq, window_fraction=TRAILING_WINDOW):
-    """Minimum over the trailing window: a conservative finite liminf proxy."""
+def liminf_trailing(seq):
+    """Minimum over the trailing ``TRAILING_WINDOW`` share: a liminf proxy."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.size == 0:
         raise ValueError("sequence must be nonempty")
-    window = max(1, math.ceil(window_fraction * seq.size))
+    window = max(1, math.ceil(TRAILING_WINDOW * seq.size))
     return float(seq[-window:].min())
 
 
-def check_liminf_subsequence(seq, indices, gap_bound, tolerance,
-                             window_fraction=TRAILING_WINDOW
-                             ) -> CheckReport:
+def check_liminf_subsequence(seq, indices, gap_bound, tolerance) -> CheckReport:
     """Trailing liminf proxies of a sequence and a bounded-gap subsequence.
 
     The caller asserts the hypotheses (consecutive differences tending to
-    zero); the index gaps are verified here.
+    zero); the index gaps are verified here.  Indices that do not increase
+    strictly within ``[0, len(seq))`` raise ValueError.
     """
     seq = np.asarray(seq, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
     gaps = np.diff(indices)
-    too_big = np.nonzero(np.abs(gaps) > gap_bound)[0]
+    if np.any(gaps <= 0) or np.any((indices < 0) | (indices >= seq.size)):
+        raise ValueError(f"indices must increase strictly within [0, {seq.size})")
+    too_big = np.nonzero(gaps > gap_bound)[0]
     if too_big.size:
         j = int(too_big[0])
-        raise GapBoundViolated(j, int(abs(gaps[j])), gap_bound)
-    full = liminf_trailing(seq, window_fraction)
-    sub = liminf_trailing(seq[indices], window_fraction)
+        raise GapBoundViolated(j, int(gaps[j]), gap_bound)
+    full = liminf_trailing(seq)
+    sub = liminf_trailing(seq[indices])
     return _abs_report(
         f"liminf_subsequence[n={seq.size},M={gap_bound}]",
         full, sub, tolerance,

@@ -15,3 +15,21 @@ class Opaque(Strategy):
 
     def act(self, history):
         return self.inner.act(history)
+
+
+def largest_diffs(got, want, field="", out=None):
+    """Largest |got - want| per field of two JSON-like values, for the message
+    of a failed golden comparison; a field whose shape, keys or non-numeric
+    entries differ reads inf."""
+    out = {} if out is None else out
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        for key in want:
+            largest_diffs(got[key], want[key], f"{field}.{key}" if field else key, out)
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for g, w in zip(got, want):
+            largest_diffs(g, w, field, out)
+    elif type(want) in (int, float) and type(got) in (int, float):
+        out[field] = max(out.get(field, 0.0), abs(got - want))
+    elif got != want:
+        out[field] = float("inf")
+    return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagepomdp.epochs import ExtendedTrajectory, worker_rng
+from stagepomdp.epochs import ExtendedTrajectory, epoch_memory_operator, worker_rng
 from stagepomdp.errors import (
     BudgetExceeded,
     InsufficientEpochs,
@@ -323,6 +323,24 @@ def reference_joint(model, strategy, h, fil, n_max):
     return joint, enum.visits
 
 
+def reference_closed_joint(model, ctrl, h, fil):
+    """The filtered joint of a controller from the dense (state x memory)
+    filter: its initial filter, one advance per boundary and the boundary
+    joint."""
+    within = np.einsum("qa,qasr->sqr", ctrl.rule, ctrl.update)
+    mixed = [epoch_memory_operator(within[s], h) for s in range(model.n_signals)]
+    state = np.where(model.signal_map == fil.first_signal, model.init, 0.0)
+    filt = np.outer(state, ctrl.start(fil.first_signal).belief)
+    signal = fil.first_signal
+    for action, next_signal in fil.steps:
+        pinned = (filt @ mixed[signal]) * ctrl.rule[:, action][None, :]
+        moved = model.transition[:, action, :].T @ pinned
+        moved[model.signal_map != next_signal, :] = 0.0
+        filt = moved @ ctrl.update[:, action, next_signal, :]
+        signal = next_signal
+    return filt @ mixed[signal] @ ctrl.rule
+
+
 def reference_discounted(model, strategy, lam, h, tol):
     """``(value, horizon, visits)`` of the truncated discounted payoff."""
     eff = lam * h
@@ -399,6 +417,14 @@ def test_enumerators_match_per_stage_reference(seed, n_states, n_actions, n_sign
         assert np.max(np.abs(got - joint)) <= 1e-14
         assert_budget_is(lambda budget: _filtered_joint_enumerated(
             model, strategy, h, fil, n_max, budget), visits)
+        # the unwrapped controller takes the closed-form route
+        dense = reference_closed_joint(model, ctrl, h, fil)
+        closed, bound = filtered_joint(model, ctrl, h, fil)
+        assert bound == 0.0
+        assert np.max(np.abs(closed - dense)) <= 1e-15
+        # a history of probability 0 (at h = 1 the null ones are) gets zeros
+        if not dense.any() or (h == 1.0 and fil in null):
+            assert not closed.any()
 
     value, horizon, visits = reference_discounted(model, strategy, 1.0, h, 0.3)
     got, _, got_horizon = _discounted_truncated(model, strategy, 1.0, h, 0.3, visits)

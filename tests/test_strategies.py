@@ -209,7 +209,7 @@ def test_large_table_stays_on_cursor_path():
     assert (sim.value, sim.std_error) == (opaque_sim.value, opaque_sim.std_error)
     assert discounted_payoff(model, table, 0.5, 0.5).mode == "truncated"
     mimic = build_mimic_strategy(model, table, 0.5)
-    assert mimic.engine is None
+    assert mimic.controller(3) is None
     hist = History(0).child(1, 2)
     opaque_mimic = build_mimic_strategy(model, _Opaque(table), 0.5)
     assert np.array_equal(mimic.act(hist), opaque_mimic.act(hist))

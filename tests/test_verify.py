@@ -28,7 +28,7 @@ from stagepomdp.verify import (
     uniform_controller,
 )
 
-from conftest import Opaque
+from conftest import Opaque, largest_diffs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,6 +193,14 @@ def test_liminf_gap_violation():
         check_liminf_subsequence(np.zeros(100), np.array([0, 50, 51]), 10, 0.1)
 
 
+@pytest.mark.parametrize("indices", [[-4, -2, 0], [4, 2, 0], [0, 2, 6], [0, 0, 1]])
+def test_liminf_indices_must_increase_within_the_sequence(indices):
+    # negative indices wrapped around, decreasing ones passed the gap check
+    # and one past the end raised a bare IndexError
+    with pytest.raises(ValueError, match="increase strictly"):
+        check_liminf_subsequence(np.arange(5.0), indices, 2, 0.1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -307,4 +315,4 @@ def test_full_suite_passes_with_default_seed():
     got = [{"name": r.name, "quantities": r.quantities} for r in reports
            if not r.name.split(":")[-1].startswith(("epoch_sum_lemma",
                                                      "cesaro_alignment"))]
-    assert got == golden
+    assert got == golden, largest_diffs(got, golden)
