@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .epochs import simulate_batch
@@ -27,6 +26,7 @@ from .errors import (
     SingularSystem,
 )
 from .model import (
+    PROB_TOL,
     PomdpModel,
     is_fully_observed,
     stage_duration_transform,
@@ -107,75 +107,48 @@ def belief_update(model: PomdpModel, belief, action, signal):
 
 # --- exact chain machinery -------------------------------------------------
 
-def _stationary_distribution(chain):
-    n = chain.shape[0]
-    system = chain.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0.0:
-        raise SingularSystem("stationary solve returned zero mass")
-    pi /= total
-    if np.max(np.abs(pi @ chain - pi)) > 1e-8:
-        raise SingularSystem("stationary distribution residual too large")
-    return pi
-
-
 def cesaro_average(chain, init, payoffs):
     """Exact Cesaro-limit average payoff of a finite Markov chain.
 
-    Decomposes the chain into recurrent classes and transient states; the
-    limit is the absorption-probability-weighted mix of per-class stationary
-    averages.  Exists for every finite chain (periodicity included).
+    Semi-Markov state reduction (Grassmann, Taksar & Heyman 1985): each
+    state in turn divides its row by the mass leaving it, folding in its
+    self-loop, and is added into the rows entering it; rows carry payoff
+    and stages to the next remaining state.  A state with no mass leaving
+    is a closed class reduced to one state, whose average is payoff per
+    stage; the initial law's row ends holding the absorption probabilities.
+    Only nonnegative numbers are added, so small h costs no accuracy.
+    ``ValueError`` unless the chain's rows and ``init`` are probability
+    vectors and ``payoffs`` has one entry per state.
     """
     chain = np.asarray(chain, dtype=np.float64)
-    init = np.asarray(init, dtype=np.float64)
-    payoffs = np.asarray(payoffs, dtype=np.float64)
     n = chain.shape[0]
-    adjacency = chain > 0.0
-    n_comp, labels = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
-    )
-    members = [np.nonzero(labels == c)[0] for c in range(n_comp)]
-    recurrent = []
-    for c in range(n_comp):
-        inside = np.zeros(n, dtype=bool)
-        inside[members[c]] = True
-        if not adjacency[np.ix_(members[c], ~inside)].any():
-            recurrent.append(c)
-
-    class_value = {}
-    for c in recurrent:
-        sub = chain[np.ix_(members[c], members[c])]
-        pi = _stationary_distribution(sub)
-        class_value[c] = float(pi @ payoffs[members[c]])
-
-    recurrent_states = np.concatenate([members[c] for c in recurrent])
-    is_recurrent = np.zeros(n, dtype=bool)
-    is_recurrent[recurrent_states] = True
-    transient = np.nonzero(~is_recurrent)[0]
-
-    value = sum(float(init[i]) * class_value[labels[i]]
-                for i in recurrent_states if init[i] > 0.0)
-    if transient.size and init[transient].sum() > 0.0:
-        q = chain[np.ix_(transient, transient)]
-        reach = np.stack(
-            [chain[np.ix_(transient, members[c])].sum(axis=1) for c in recurrent],
-            axis=1,
-        )
-        try:
-            absorb = np.linalg.solve(np.eye(len(transient)) - q, reach)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        weights = init[transient] @ absorb
-        value += sum(w * class_value[c] for w, c in zip(weights, recurrent))
-    return float(value)
+    shapes = chain.shape, np.shape(init), np.shape(payoffs)
+    if shapes != ((n, n), (n,), (n,)):
+        raise ValueError(f"chain, init and payoffs have shapes {shapes}, "
+                         "not (n, n), (n,) and (n,)")
+    # rows: the states, the initial law; columns: the states, payoff, stages
+    a = np.zeros((n + 1, n + 2))
+    a[:n, :n] = chain
+    a[n, :n] = init
+    if not ((a >= 0.0).all() and (abs(a.sum(axis=1) - 1.0) <= PROB_TOL).all()):
+        raise ValueError("a chain row or init is not a probability vector")
+    a[:n, n] = payoffs
+    a[:n, n + 1] = 1.0
+    closed = []
+    for k in range(n):
+        a[k, k] = 0.0
+        out = a[k, :n].sum()
+        if out == 0.0:
+            closed.append(k)
+            continue
+        a[k] /= out
+        rows = np.flatnonzero(a[:, k])
+        # row k is zero before its first closed state and before k itself
+        lo = closed[0] if closed else k
+        a[rows, lo:] += a[rows, k, None] * a[k, lo:]
+        a[rows, k] = 0.0
+        a[k] = 0.0
+    return float(sum(a[n, k] * a[k, n] / a[k, n + 1] for k in closed))
 
 
 def controller_product_chain(model: PomdpModel, controller: FiniteStateController,

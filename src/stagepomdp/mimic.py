@@ -290,7 +290,9 @@ class MimicStrategy(Strategy):
     ``act`` is the conditional boundary-action law of the source strategy
     given the filtered history (uniform fallback on null histories), not
     cached: cursor tables ask each history once.  ``mimic_action`` adds the
-    certification data; ``mixed[s]`` is W_s of a controller source.
+    certification data; ``mixed[s]`` is W_s of a controller source, read by
+    both the filtered-history walk and ``controller``.  The epoch operator's
+    roundoff below 0 is clipped.
     """
 
     def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None,
@@ -304,8 +306,8 @@ class MimicStrategy(Strategy):
         if ctrl is not None:
             within = np.einsum("qa,qasr->sqr", ctrl.rule, ctrl.update)
             # within[s] is M_s; mixed[s] is W_s
-            self.mixed = np.stack([epoch_memory_operator(within[s], self.h)
-                                   for s in range(model.n_signals)])
+            self.mixed = np.maximum([epoch_memory_operator(within[s], self.h)
+                                     for s in range(model.n_signals)], 0.0)
         elif n_max is None:
             n_max = default_truncation(self.h)
         if n_max is not None and n_max < 1:
@@ -323,16 +325,14 @@ class MimicStrategy(Strategy):
         a and next signal s' it moves to (q', s'), q' drawn from
         update[r, a, s'] with the boundary memory r drawn from its posterior
         given (q, s, a); a zero-probability action keeps a uniform posterior,
-        so its rows stay stochastic.  The epoch operator's roundoff below 0
-        is clipped.
+        so its rows stay stochastic.
         """
         ctrl = self.source_controller
         if ctrl is None:
             return None
         if self._controller is None:
             n_q, n_s = ctrl.n_memory, self.model.n_signals
-            mixed = np.clip(self.mixed, 0.0, None)
-            joint = np.einsum("sqr,ra->qsar", mixed, ctrl.rule)
+            joint = np.einsum("sqr,ra->qsar", self.mixed, ctrl.rule)
             rule = joint.sum(axis=3)
             posterior = np.divide(joint, rule[..., None],
                                   out=np.full_like(joint, 1.0 / n_q),

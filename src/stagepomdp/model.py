@@ -89,7 +89,7 @@ def validate_stage_duration(h):
     return h
 
 
-def validate_mixed_action(weights, n_actions, *, tol=PROB_TOL):
+def validate_mixed_action(weights, n_actions):
     """Check a mixed action: length, nonnegativity, unit mass."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n_actions,):
@@ -97,7 +97,7 @@ def validate_mixed_action(weights, n_actions, *, tol=PROB_TOL):
     if np.any(w < 0):
         raise NegativeProbability("mixed action")
     total = float(w.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"mixed action sums to {total!r} instead of 1")
     return w
 

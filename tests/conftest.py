@@ -33,3 +33,16 @@ def largest_diffs(got, want, field="", out=None):
     elif got != want:
         out[field] = float("inf")
     return out
+
+
+def golden_mismatch(got, want, keys):
+    """Message of a failed comparison of two lists of golden entries: the
+    entries that differ, each named by its ``keys`` values (or the two
+    lengths when they differ), then ``largest_diffs``'s largest change per
+    field."""
+    if len(got) != len(want):
+        moved = f"{len(got)} entries against {len(want)}"
+    else:
+        moved = ", ".join(":".join(str(w[key]) for key in keys)
+                          for g, w in zip(got, want) if g != w)
+    return f"moved: {moved}; largest_diffs: {largest_diffs(got, want)}"

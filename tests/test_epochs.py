@@ -42,7 +42,7 @@ from stagepomdp.verify import (
     random_pomdp_model,
 )
 
-from conftest import Opaque, largest_diffs
+from conftest import Opaque, golden_mismatch
 
 
 def test_sample_epochs_degenerate_at_one():
@@ -547,7 +547,7 @@ def opaque_route_quantities():
 def test_opaque_routes_match_golden():
     golden = json.loads((GOLDEN / "opaque_routes.json").read_text())
     got = opaque_route_quantities()
-    assert got == golden, largest_diffs(got, golden)
+    assert got == golden, golden_mismatch(got, golden, ("model", "strategy"))
 
 
 def test_draw_never_lands_on_zero_probability_tail():

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from stagepomdp import evaluate
 from stagepomdp.epochs import worker_rng
@@ -222,6 +224,115 @@ def test_cesaro_average_periodic_chain():
     chain = np.array([[0.0, 1.0], [1.0, 0.0]])
     value = cesaro_average(chain, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert value == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("chain, init, payoffs", [
+    pytest.param([[0.5, 0.5, 0.0]], [1.0], [0.0], id="not-square"),
+    pytest.param([[0.5, 0.4], [0.0, 1.0]], [1.0, 0.0], [1.0, 2.0],
+                 id="substochastic-row"),
+    pytest.param([[1.0, 1.0], [0.0, 1.0]], [1.0, 0.0], [1.0, 2.0], id="row-sum-2"),
+    pytest.param([[1.5, -0.5], [0.0, 1.0]], [1.0, 0.0], [1.0, 2.0],
+                 id="negative-entry"),
+    pytest.param([[np.nan, 1.0], [0.0, 1.0]], [1.0, 0.0], [1.0, 2.0], id="nan-entry"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0, 0.0], [1.0, 2.0],
+                 id="init-too-long"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.4], [1.0, 2.0], id="init-mass"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], [1.5, -0.5], [1.0, 2.0],
+                 id="init-negative"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], [1.0], id="payoffs-short"),
+])
+def test_cesaro_average_rejects_invalid_input(chain, init, payoffs):
+    with pytest.raises(ValueError):
+        cesaro_average(np.array(chain), np.array(init), np.array(payoffs))
+
+
+def test_exact_average_holds_at_small_h():
+    # the uniform controller's average does not depend on h; the mixing
+    # controller's converges as h -> 0
+    m = random_pomdp_model()
+    uniform = uniform_controller(m)
+    at_one = longrun_average_exact_fsc(m, uniform, 1.0).value
+    for h in (1e-8, 1e-12):
+        assert longrun_average_exact_fsc(m, uniform, h).value == \
+            pytest.approx(at_one, abs=1e-12)
+    mixing = mixing_controller(m)
+    assert longrun_average_exact_fsc(m, mixing, 1e-12).value == pytest.approx(
+        longrun_average_exact_fsc(m, mixing, 1e-9).value, abs=1e-9)
+
+
+def _reference_cesaro(chain, init, payoffs):
+    """Recurrent classes by strongly connected components, each class's
+    stationary law by a least-squares solve, absorption into the classes by
+    a dense solve: an independent route to the Cesaro limit."""
+    adjacency = chain > 0.0
+    n_comp, labels = connected_components(csr_matrix(adjacency), directed=True,
+                                          connection="strong")
+    recurrent = [c for c in range(n_comp)
+                 if not adjacency[labels == c][:, labels != c].any()]
+    value, reach = 0.0, []
+    transient = ~np.isin(labels, recurrent)
+    for c in recurrent:
+        inside = labels == c
+        sub = chain[np.ix_(inside, inside)]
+        system = sub.T - np.eye(len(sub))
+        system[-1, :] = 1.0
+        rhs = np.zeros(len(sub))
+        rhs[-1] = 1.0
+        pi = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        average = float(pi @ payoffs[inside])
+        value += init[inside].sum() * average
+        reach.append((chain[np.ix_(transient, inside)].sum(axis=1), average))
+    if transient.any():
+        q = chain[np.ix_(transient, transient)]
+        absorb = np.linalg.solve(np.eye(len(q)) - q,
+                                 np.column_stack([r for r, _ in reach]))
+        value += float(init[transient] @ absorb @ [a for _, a in reach])
+    return value
+
+
+def _random_chain(rng):
+    """A chain of at most 11 states: closed classes that are absorbing,
+    periodic (a permutation cycle) or random, and transient states leading
+    anywhere, in shuffled order."""
+    blocks, n_closed = [], rng.integers(1, 4)
+    for _ in range(n_closed):
+        kind, size = rng.integers(3), rng.integers(1, 4)
+        if kind == 0:
+            blocks.append(np.eye(1))
+        elif kind == 1:
+            blocks.append(np.roll(np.eye(size), 1, axis=1))
+        else:
+            block = rng.random((size, size)) * (rng.random((size, size)) < 0.6)
+            block += np.roll(np.eye(size), 1, axis=1)  # keeps it irreducible
+            blocks.append(block / block.sum(axis=1, keepdims=True))
+    n_rec = sum(len(b) for b in blocks)
+    n = n_rec + int(rng.integers(0, 12 - n_rec))
+    chain = np.zeros((n, n))
+    start = 0
+    for block in blocks:
+        chain[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    for i in range(n_rec, n):
+        row = rng.random(n) * (rng.random(n) < 0.5)
+        row[rng.integers(n_rec)] += 0.1  # every transient state leaves
+        chain[i] = row / row.sum()
+    order = rng.permutation(n)
+    chain = chain[np.ix_(order, order)]
+    init = np.zeros(n)
+    if rng.random() < 0.3:
+        init[rng.integers(n)] = 1.0
+    else:
+        init = rng.random(n)
+        init /= init.sum()
+    return chain, init, rng.uniform(-1.0, 1.0, n)
+
+
+def test_cesaro_average_matches_class_decomposition():
+    rng = np.random.default_rng(20261019)
+    for _ in range(500):
+        chain, init, payoffs = _random_chain(rng)
+        assert cesaro_average(chain, init, payoffs) == pytest.approx(
+            _reference_cesaro(chain, init, payoffs), abs=1e-12)
 
 
 # --- beliefs ----------------------------------------------------------------------------

@@ -602,6 +602,17 @@ def test_null_history_uniform_fallback():
         assert np.array_equal(result.weights, [0.5, 0.5])
 
 
+def test_null_history_fallback_on_closed_form_route():
+    # W_s's roundoff below 0 made this null history's conditioning mass
+    # -6.4e-19, which raised TruncationDominates against the bound 0
+    m, ctrl = random_controller_case(13, 2, 2, 2, 2)
+    mimic = MimicStrategy(m, ctrl, 0.3)
+    assert (mimic.mixed >= 0.0).all()
+    result = mimic.mimic_action(History(0, ((0, 0),)))
+    assert result.conditioning_mass == 0.0 and result.is_fallback
+    assert np.array_equal(result.weights, [0.5, 0.5])
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_n_max_below_one_rejected(n_max):
     # an opaque source used to return the uniform fallback as a null event

@@ -28,7 +28,7 @@ from stagepomdp.verify import (
     uniform_controller,
 )
 
-from conftest import Opaque, largest_diffs
+from conftest import Opaque, golden_mismatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -305,6 +305,14 @@ def test_suite_deterministic():
     assert all(r.passed for r in a)
 
 
+def test_golden_mismatch_names_moved_entries():
+    want = [{"name": "a", "quantities": {"x": 1.0}},
+            {"name": "b", "quantities": {"x": 2.0}}]
+    got = [want[0], {"name": "b", "quantities": {"x": 2.5}}]
+    assert golden_mismatch(got, want, ("name",)) == \
+        "moved: b; largest_diffs: {'quantities.x': 0.5}"
+
+
 def test_full_suite_passes_with_default_seed():
     reports = run_suite("all", seed=0)
     failed = [r.name for r in reports if not r.passed]
@@ -315,4 +323,4 @@ def test_full_suite_passes_with_default_seed():
     got = [{"name": r.name, "quantities": r.quantities} for r in reports
            if not r.name.split(":")[-1].startswith(("epoch_sum_lemma",
                                                      "cesaro_alignment"))]
-    assert got == golden, largest_diffs(got, golden)
+    assert got == golden, golden_mismatch(got, golden, ("name",))
