@@ -12,8 +12,8 @@ kernel gives the same law and exposes the epoch structure directly.
 once, each as one index of its state, memory and action.  A strategy with
 a controller moves it by one draw per stage from the controller's product
 kernel, built once per call; an opaque strategy's plays hold the ids of its
-cursors in a :class:`~stagepomdp.strategies.CursorTable` and draw action,
-transition and cursor step in turn.
+cursors in a :class:`~stagepomdp.strategies.CursorTable`, draw action and
+transition in turn and then step their cursors.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystem
-from .model import PomdpModel, stage_duration_transform, validate_stage_duration
+from .model import (
+    PomdpModel,
+    is_stochastic,
+    stage_duration_transform,
+    validate_stage_duration,
+)
 from .strategies import CursorTable, Strategy, controller_for
-
-#: residual tolerance for the epoch-operator linear solve
-OPERATOR_RESIDUAL_TOL = 1e-10
 
 
 def worker_rng(master_seed, *key):
@@ -211,8 +212,8 @@ def simulate_batch(model: PomdpModel, strategy: Strategy, h, n_plays,
     controller-source mimics) moves x by one inverse-CDF draw per stage from
     the controller's product kernel; an opaque strategy's plays hold ids in
     a table of its cursors, one per distinct merge key, shared by every play
-    whose history reached that key, and draw action, transition and cursor
-    step in turn.
+    whose history reached that key, draw action and transition in turn and
+    then step their cursors.
     """
     h = validate_stage_duration(h)
     if n_plays < 1:
@@ -370,7 +371,7 @@ class _CursorMemory:
     alike on every continuation, so plays sharing an id keep the strategy's
     law.  An id's action-CDF row is built once; rows past the table's last
     id are spare.  A play's index is x = s·A + a; each stage draws its
-    action, transition, cursor step and mark from one block of uniforms."""
+    action, transition and mark from one block of uniforms."""
 
     n_memory = 1
 
@@ -379,7 +380,7 @@ class _CursorMemory:
         self.rng = rng
         self.model = model
         self.n_signals = model.n_signals
-        self.n_uniforms = 4 if marked else 3
+        self.n_uniforms = 3 if marked else 2
         # without pinned epochs a mark is a Bernoulli(h) draw independent of
         # the rest, so the duration-h kernel folds it into the transition draw
         kernel = (model.transition if marked
@@ -402,15 +403,14 @@ class _CursorMemory:
         return state * self.model.n_actions + action
 
     def mark_uniforms(self):
-        return self.u[3, :, 0]
+        return self.u[2, :, 0]
 
     def advance(self, x, mark):
         state, action = np.divmod(x, self.model.n_actions)
         moved = _draw(self.transition_cdf[state, action], self.u[1])
         if mark is not None:
             moved = np.where(mark, moved, state)
-        self.held = self.step(self.held, action, self.model.signal_map[moved],
-                              self.u[2])
+        self.held = self.step(self.held, action, self.model.signal_map[moved])
         return self._act(moved)
 
     def start(self, signals):
@@ -430,7 +430,7 @@ class _CursorMemory:
             self.n_rows = n
         return self.action_cdf[memory]
 
-    def step(self, memory, action, signals, u):
+    def step(self, memory, action, signals):
         table = self.table
         held = table.children_of(memory * table.n_codes + action * self.n_signals
                                  + signals)
@@ -498,23 +498,31 @@ def _batched_plays(model, memory, h, n_plays, rng, sums_at, stage_weights,
 def epoch_memory_operator(matrix, h):
     """Expected power E[M^(N-1)] for N ~ geometric(h): h (I - (1-h) M)^(-1).
 
-    ``matrix`` must be row-stochastic; the result is again row-stochastic.
-    The system is nonsingular for h > 0 since the spectral radius of
-    (1-h) M is at most 1-h < 1.
+    ``matrix`` is a row-stochastic M of shape (n, n), or a stack of them of
+    shape (..., n, n) mapped to a stack of W.  W's row i is the law of the
+    exit an epoch started in memory i takes, by Gauss-Jordan state reduction
+    (Grassmann, Taksar & Heyman 1985): memory i moves to memory j with weight
+    (1-h) M[i, j] and to exit i with weight h.  Each memory in turn drops its
+    self-loop, divides its row by the mass leaving it (at least h) and is
+    added into every row entering it.
+    Only nonnegative numbers are added and M's diagonal is never read, so W
+    is entrywise accurate for any h > 0 and never negative.  ``ValueError``
+    unless ``matrix`` is square with probability vectors as rows.
     """
     h = validate_stage_duration(h)
     m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not is_stochastic(m):
+        raise ValueError(f"expected square stochastic matrices, got shape {m.shape}")
+    n = m.shape[-1]
     if h == 1.0:
-        return np.eye(n)
-    system = np.eye(n) - (1.0 - h) * m
-    try:
-        out = np.linalg.solve(system, h * np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    residual = np.max(np.abs(system @ out - h * np.eye(n)))
-    if residual > OPERATOR_RESIDUAL_TOL:
-        raise SingularSystem(f"solve residual {residual:.3e}")
-    return out
+        return np.broadcast_to(np.eye(n), m.shape).copy()
+    a = np.empty(m.shape[:-1] + (2 * n,))
+    np.multiply(m, 1.0 - h, out=a[..., :n])
+    a[..., n:] = h * np.eye(n)
+    for k in range(n):
+        row = a[..., k, :]
+        row[..., k] = 0.0
+        row /= row.sum(axis=-1, keepdims=True)
+        a += a[..., :, k, None] * row[..., None, :]
+        a[..., :, k] = 0.0
+    return a[..., n:]

@@ -26,9 +26,9 @@ from .errors import (
     SingularSystem,
 )
 from .model import (
-    PROB_TOL,
     PomdpModel,
     is_fully_observed,
+    is_stochastic,
     stage_duration_transform,
     validate_stage_duration,
 )
@@ -130,7 +130,7 @@ def cesaro_average(chain, init, payoffs):
     a = np.zeros((n + 1, n + 2))
     a[:n, :n] = chain
     a[n, :n] = init
-    if not ((a >= 0.0).all() and (abs(a.sum(axis=1) - 1.0) <= PROB_TOL).all()):
+    if not is_stochastic(a):
         raise ValueError("a chain row or init is not a probability vector")
     a[:n, n] = payoffs
     a[:n, n + 1] = 1.0

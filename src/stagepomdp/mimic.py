@@ -290,9 +290,9 @@ class MimicStrategy(Strategy):
     ``act`` is the conditional boundary-action law of the source strategy
     given the filtered history (uniform fallback on null histories), not
     cached: cursor tables ask each history once.  ``mimic_action`` adds the
-    certification data; ``mixed[s]`` is W_s of a controller source, read by
-    both the filtered-history walk and ``controller``.  The epoch operator's
-    roundoff below 0 is clipped.
+    certification data; ``mixed[s]`` is W_s of a controller source, one
+    stack computed by one :func:`~stagepomdp.epochs.epoch_memory_operator`
+    call and read by both the filtered-history walk and ``controller``.
     """
 
     def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None,
@@ -306,8 +306,7 @@ class MimicStrategy(Strategy):
         if ctrl is not None:
             within = np.einsum("qa,qasr->sqr", ctrl.rule, ctrl.update)
             # within[s] is M_s; mixed[s] is W_s
-            self.mixed = np.maximum([epoch_memory_operator(within[s], self.h)
-                                     for s in range(model.n_signals)], 0.0)
+            self.mixed = epoch_memory_operator(within, self.h)
         elif n_max is None:
             n_max = default_truncation(self.h)
         if n_max is not None and n_max < 1:

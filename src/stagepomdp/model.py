@@ -12,7 +12,7 @@ for I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,13 @@ from .errors import (
 
 #: absolute tolerance for "sums to one" checks on probability vectors
 PROB_TOL = 1e-12
+
+
+def is_stochastic(rows):
+    """True iff every row over the last axis has entries >= 0 summing to 1
+    within :data:`PROB_TOL`; a NaN entry fails both tests."""
+    rows = np.asarray(rows)
+    return bool((rows >= 0.0).all() and (abs(rows.sum(-1) - 1.0) <= PROB_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ def validate_mixed_action(weights, n_actions):
     if np.any(w < 0):
         raise NegativeProbability("mixed action")
     total = float(w.sum())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"mixed action sums to {total!r} instead of 1")
     return w
 
@@ -133,7 +140,7 @@ def validate_model(model: PomdpModel) -> PomdpModel:
             f"P({model.state_names[w2]} | {model.state_names[w]}, {model.action_names[a]})"
         )
     sums = model.transition.sum(axis=2)
-    bad = np.argwhere(np.abs(sums - 1.0) > PROB_TOL)
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= PROB_TOL))
     if bad.size:
         w, a = (int(i) for i in bad[0])
         raise RowNotStochastic(
@@ -143,7 +150,7 @@ def validate_model(model: PomdpModel) -> PomdpModel:
         w = int(np.argwhere(model.init < 0)[0][0])
         raise NegativeProbability(f"init({model.state_names[w]})")
     total = float(model.init.sum())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise InitNotStochastic(total)
     return model.freeze()
 
@@ -184,16 +191,7 @@ def stage_duration_transform(model: PomdpModel, h) -> PomdpModel:
     transition = h * model.transition
     idx = np.arange(n_w)
     transition[idx, :, idx] += 1.0 - h
-    out = PomdpModel(
-        state_names=model.state_names,
-        action_names=model.action_names,
-        signal_names=model.signal_names,
-        signal_map=model.signal_map,
-        payoff=model.payoff,
-        transition=transition,
-        init=model.init,
-    )
-    return validate_model(out)
+    return validate_model(replace(model, transition=transition))
 
 
 def rescale_stage_duration(model_h1: PomdpModel, h1, h2):
@@ -219,16 +217,7 @@ def rescale_stage_duration(model_h1: PomdpModel, h1, h2):
     transition[idx, :, idx] -= ratio - 1.0
     # tiny negatives from cancellation are legitimate zeros
     transition[(transition < 0) & (transition > -PROB_TOL)] = 0.0
-    rebased = PomdpModel(
-        state_names=model_h1.state_names,
-        action_names=model_h1.action_names,
-        signal_names=model_h1.signal_names,
-        signal_map=model_h1.signal_map,
-        payoff=model_h1.payoff,
-        transition=transition,
-        init=model_h1.init,
-    )
-    return validate_model(rebased), h1 / h2
+    return validate_model(replace(model_h1, transition=transition)), h1 / h2
 
 
 def is_fully_observed(model: PomdpModel) -> bool:

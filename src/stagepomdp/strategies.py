@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import BudgetExceeded
-from .model import PomdpModel, validate_mixed_action
+from .model import PomdpModel, is_stochastic, validate_mixed_action
 
 #: default cap on joint (history, state) enumeration entries
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -307,8 +307,7 @@ class FiniteStateController(Strategy):
             raise ValueError("init_memory out of range")
         for q in range(self.n_memory):
             validate_mixed_action(self.rule[q], self.n_actions)
-        sums = self.update.sum(axis=3)
-        if np.any(self.update < 0) or np.any(np.abs(sums - 1.0) > 1e-12):
+        if not is_stochastic(self.update):
             raise ValueError("update rows must be stochastic")
 
     def start(self, first_signal):

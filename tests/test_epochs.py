@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -632,3 +633,72 @@ def test_operator_rows_stochastic(h):
 def test_operator_rejects_non_square():
     with pytest.raises(ValueError):
         epoch_memory_operator(np.ones((2, 3)) / 3.0, 0.5)
+
+
+def sparse_stochastic(rng, shape):
+    """Random row-stochastic matrices of shape (..., n, n), about 40% of
+    their entries structural zeros, every row with some mass."""
+    n = shape[-1]
+    raw = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) >= 0.4)
+    raw += 0.1 * (np.arange(n) == rng.integers(n, size=shape[:-1] + (1,)))
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def exact_operator(m, h):
+    """h (I - (1-h) M)^(-1) in exact rationals, for the M with the
+    off-diagonal entries of ``m`` whose rows sum to exactly 1, by
+    Gauss-Jordan elimination with diagonal pivots (positive: I - (1-h) M is
+    an M-matrix)."""
+    n = len(m)
+    h = Fraction(h)
+    rows = []
+    for i in range(n):
+        off = [Fraction(float(x)) if j != i else Fraction(0)
+               for j, x in enumerate(m[i])]
+        off[i] = 1 - sum(off)
+        rows.append([int(i == j) - (1 - h) * x for j, x in enumerate(off)]
+                    + [h * (i == j) for j in range(n)])
+    for k in range(n):
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+@pytest.mark.parametrize("h", [0.5, 1e-4, 1e-8, 1e-12])
+def test_operator_matches_exact_rationals(h):
+    # at small h, W depends on M's diagonal only through its row sums of 1; a
+    # solve that reads the rounded diagonal loses accuracy like eps / h
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        m = sparse_stochastic(rng, (int(rng.integers(1, 9)),) * 2)
+        out = epoch_memory_operator(m, h)
+        for got_row, want_row in zip(out.tolist(), exact_operator(m, h)):
+            for got, want in zip(got_row, want_row):
+                if want == 0:
+                    assert got == 0.0
+                else:
+                    assert abs(Fraction(got) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("h", [0.5, 1e-8, 1.0])
+def test_operator_stack_matches_single_calls(h):
+    rng = np.random.default_rng(3)
+    for shape in ((3, 4, 4), (2, 3, 5, 5), (1, 1, 1)):
+        stack = sparse_stochastic(rng, shape)
+        out = epoch_memory_operator(stack, h)
+        single = [epoch_memory_operator(m, h) for m in stack.reshape((-1,) + shape[-2:])]
+        assert np.array_equal(out, np.reshape(single, shape))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.ones((2, 2, 3)) / 3.0,
+    [[1.5, -0.5], [0.5, 0.5]],
+    [[0.5, np.nan], [0.5, 0.5]],
+    [[1.0, 1.0], [0.5, 0.5]],
+    [[0.5, 0.25], [0.5, 0.5]],
+], ids=["not-square", "negative", "nan", "row-sum-2", "substochastic"])
+def test_operator_rejects_non_stochastic(matrix):
+    with pytest.raises(ValueError):
+        epoch_memory_operator(matrix, 0.5)

@@ -613,6 +613,24 @@ def test_null_history_fallback_on_closed_form_route():
     assert np.array_equal(result.weights, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("h", [1e-4, 1e-8])
+def test_closed_form_actions_at_small_h(h):
+    # W_s is used unclipped: every closed-form mimic action over histories of
+    # length <= 2 is a probability vector, the fallback included
+    for seed in range(40):
+        m, ctrl = random_controller_case(seed, 2 + seed % 2, 2, 1 + seed % 3 // 2,
+                                         2 + seed % 5 // 3)
+        mimic = MimicStrategy(m, ctrl, h)
+        assert (mimic.mixed >= 0.0).all()
+        fils = [History(s) for s in range(m.n_signals)]
+        fils += [fil.child(a, s) for fil in fils for a in range(m.n_actions)
+                 for s in range(m.n_signals)]
+        for fil in fils:
+            weights = mimic.mimic_action(fil).weights
+            assert (weights >= 0.0).all()
+            assert abs(weights.sum() - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_n_max_below_one_rejected(n_max):
     # an opaque source used to return the uniform fallback as a null event

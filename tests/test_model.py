@@ -17,6 +17,7 @@ from stagepomdp.model import (
     validate_mixed_action,
     validate_stage_duration,
 )
+from stagepomdp.strategies import FiniteStateController
 from stagepomdp.verify import figure1_model
 
 
@@ -89,6 +90,25 @@ def test_nonfinite_payoff_rejected():
     transition[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         make_model(["w"], ["a"], ["s"], [0], [[np.inf]], transition, [1.0])
+
+
+def one_state_model(transition, init):
+    return make_model(["w"], ["a"], ["s"], [0], [[0.0]], [[[transition]]], [init])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: validate_mixed_action([np.nan, np.nan], 2), ValueError),
+    (lambda: one_state_model(np.nan, 1.0), RowNotStochastic),
+    (lambda: one_state_model(1.0, np.nan), InitNotStochastic),
+    (lambda: FiniteStateController([0], [[np.nan, np.nan]], np.ones((1, 2, 1, 1))),
+     ValueError),
+    (lambda: FiniteStateController([0], [[0.5, 0.5]], np.full((1, 2, 1, 1), np.nan)),
+     ValueError),
+], ids=["mixed-action", "transition", "init", "rule", "update"])
+def test_nan_fails_probability_checks(build, error):
+    # "x < 0" and "abs(total - 1) > tol" are both False for NaN
+    with pytest.raises(error):
+        build()
 
 
 def test_normalize_on_request_only():
