@@ -12,9 +12,7 @@ from .errors import (
     BudgetExceeded,
     DuplicateEntry,
     GapBoundViolated,
-    ImpossibleObservation,
     InitNotStochastic,
-    InsufficientEpochs,
     MissingSignal,
     ModelValidationError,
     NegativeProbability,
@@ -57,7 +55,6 @@ from .epochs import (
     ExtendedTrajectory,
     PlayBatch,
     epoch_memory_operator,
-    geometric_tail,
     sample_epochs,
     simulate_batch,
     simulate_epochs_gh,
@@ -73,7 +70,6 @@ from .mimic import (
     build_filter_machine,
     build_mimic_strategy,
     default_truncation,
-    filter_trajectory,
     filtered_joint,
     mimic_action_exact,
     mimic_action_mc,
@@ -82,7 +78,6 @@ from .evaluate import (
     DEFAULT_LAMBDA_GRID,
     PayoffEstimate,
     asymptotic_value_estimate,
-    belief_update,
     cesaro_average,
     discounted_payoff,
     discounted_value_estimate,

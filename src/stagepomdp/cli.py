@@ -169,6 +169,8 @@ def _diag_string(estimate):
 def _cmd_sweep(args):
     model = _load_model(args.file)
     h_grid = _floats(args.h_grid)
+    if not h_grid:
+        raise ValueError("--h-grid needs at least one value")
     lam_grid = _floats(args.lambda_grid) if args.lambda_grid \
         else list(DEFAULT_LAMBDA_GRID)
     seed = args.seed if args.seed is not None else 0

@@ -47,18 +47,6 @@ def as_generator(seed_or_rng):
     return np.random.default_rng(seed_or_rng)
 
 
-def sample_index(rng, probs):
-    """Sample an index from a small probability vector (linear scan)."""
-    u = rng.random()
-    acc = 0.0
-    last = len(probs) - 1
-    for i in range(last):
-        acc += probs[i]
-        if u < acc:
-            return i
-    return last
-
-
 @dataclass(frozen=True)
 class EpochSample:
     """Epoch lengths N_1..N_k and boundaries T_0=0, T_i = N_1 + ... + N_i."""
@@ -90,14 +78,6 @@ def sample_epochs(h, k, seed_or_rng) -> EpochSample:
     return EpochSample(lengths)
 
 
-def geometric_tail(h, m):
-    """P(N >= m) = (1-h)^(m-1) for an epoch length N ~ geometric(h)."""
-    h = validate_stage_duration(h)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return (1.0 - h) ** (m - 1)
-
-
 @dataclass(frozen=True)
 class ExtendedTrajectory:
     """States, actions, signals and transition marks for one play.
@@ -115,13 +95,10 @@ class ExtendedTrajectory:
     def horizon(self):
         return len(self.states)
 
-    def epoch_boundaries(self):
-        """Stage numbers (1-based) at which a real transition occurred."""
-        return np.nonzero(self.marks)[0] + 1
-
 
 def _simulate(model: PomdpModel, strategy: Strategy, marks, rng):
-    """Run one play of the given length with a predetermined mark schedule."""
+    """Run one play of the given length with a predetermined mark schedule,
+    each draw by inverse CDF over :func:`_cdf`, as the batched loop draws."""
     horizon = len(marks)
     states = np.empty(horizon, dtype=np.int64)
     actions = np.empty(horizon, dtype=np.int64)
@@ -129,15 +106,18 @@ def _simulate(model: PomdpModel, strategy: Strategy, marks, rng):
     transition = model.transition
     signal_map = model.signal_map
 
-    state = sample_index(rng, model.init)
+    def pick(probs):
+        return int(np.searchsorted(_cdf(probs), rng.random(), side="right"))
+
+    state = pick(model.init)
     cursor = strategy.start(int(signal_map[state]))
     for j in range(horizon):
         states[j] = state
         signals[j] = signal_map[state]
-        action = sample_index(rng, cursor.action_distribution())
+        action = pick(cursor.action_distribution())
         actions[j] = action
         if marks[j]:
-            state = sample_index(rng, transition[state, action])
+            state = pick(transition[state, action])
         if j + 1 < horizon:
             cursor = cursor.step(action, int(signal_map[state]))
     return ExtendedTrajectory(states, actions, signals, np.asarray(marks))

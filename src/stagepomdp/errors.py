@@ -76,15 +76,6 @@ class NotFullyObserved(StagePomdpError):
 
 # --- epoch / mimic ---------------------------------------------------------
 
-class InsufficientEpochs(StagePomdpError):
-    def __init__(self, requested, found):
-        self.requested = requested
-        self.found = found
-        super().__init__(
-            f"trajectory covers {found} complete epochs, {requested} requested"
-        )
-
-
 class TruncationDominates(StagePomdpError):
     def __init__(self, mass, bound):
         self.mass = mass
@@ -97,10 +88,6 @@ class TruncationDominates(StagePomdpError):
 
 class NoAcceptedSamples(StagePomdpError):
     """No simulated trajectory matched the requested filtered history."""
-
-
-class ImpossibleObservation(StagePomdpError):
-    """Bayes update conditioned on a zero-probability signal."""
 
 
 class GapBoundViolated(StagePomdpError):

@@ -19,12 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from .epochs import simulate_batch
-from .errors import (
-    BudgetExceeded,
-    ImpossibleObservation,
-    NotConverged,
-    SingularSystem,
-)
+from .errors import BudgetExceeded, NotConverged, SingularSystem
 from .model import (
     PomdpModel,
     is_fully_observed,
@@ -33,7 +28,6 @@ from .model import (
     validate_stage_duration,
 )
 from .strategies import (
-    DEFAULT_ENUMERATION_BUDGET,
     CursorEnumeration,
     FiniteStateController,
     Strategy,
@@ -87,22 +81,6 @@ class PayoffEstimate:
         if self.bound is not None:
             total += self.bound
         return total
-
-
-# --- beliefs ---------------------------------------------------------------
-
-def belief_update(model: PomdpModel, belief, action, signal):
-    """Bayes step of a belief through the kernel and the deterministic signal."""
-    belief = np.asarray(belief, dtype=np.float64)
-    pushed = belief @ model.transition[:, action, :]
-    pushed = np.where(model.signal_map == signal, pushed, 0.0)
-    total = pushed.sum()
-    if total <= 0.0:
-        raise ImpossibleObservation(
-            f"signal {model.signal_names[signal]!r} has probability 0 after action "
-            f"{model.action_names[action]!r}"
-        )
-    return pushed / total
 
 
 # --- exact chain machinery -------------------------------------------------
@@ -265,14 +243,14 @@ def _tail_horizon(model, eff, tol):
     return max(1, math.ceil(math.log(tol / bound_m) / math.log1p(-eff)))
 
 
-def _discounted_truncated(model, strategy, lam, h, tol, budget):
+def _discounted_truncated(model, strategy, lam, h, tol):
     eff = lam * h
     mh = stage_duration_transform(model, h) if h != 1.0 else model
     horizon = _tail_horizon(model, eff, tol)
-    if horizon > budget:
+    enum = CursorEnumeration(model, "discounted enumeration")
+    if horizon > enum.budget:
         # every stage visits at least one frontier entry
-        raise BudgetExceeded(horizon, budget, "discounted enumeration")
-    enum = CursorEnumeration(model, budget, "discounted enumeration")
+        raise BudgetExceeded(horizon, enum.budget, "discounted enumeration")
     frontier = enum.open(model.init, strategy.start)
     total = 0.0
     weight = eff
@@ -292,7 +270,7 @@ def _discounted_truncated(model, strategy, lam, h, tol, budget):
 
 def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
                       method="exact", *, tol=1e-12, n_traj=1000,
-                      seed=0, budget=DEFAULT_ENUMERATION_BUDGET) -> PayoffEstimate:
+                      seed=0) -> PayoffEstimate:
     """Expected discounted payoff with weights lam*h*(1-lam*h)^(i-1).
 
     method 'exact' solves the product chain for controller-representable
@@ -301,7 +279,8 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
     ``MC_HORIZON_CAP`` stages, and reports M*(1-lam*h)^T as its bound.
     ``tol`` must be positive and finite for every method, and
     ``ValueError`` is raised if 1 - lam*h rounds to 1.  Enumeration raises
-    ``BudgetExceeded`` up front when T alone exceeds ``budget``.
+    ``BudgetExceeded`` up front when T alone exceeds the
+    ``ENUMERATION_BUDGET`` of :mod:`~stagepomdp.strategies`.
     """
     lam, h, eff = _discount(lam, h)
     if not (0.0 < tol < math.inf):
@@ -313,7 +292,7 @@ def discounted_payoff(model: PomdpModel, strategy: Strategy, lam, h,
             value = _discounted_exact_controller(model, controller, lam, h)
             return PayoffEstimate(value, "exact", metadata=meta)
         value, bound, horizon = _discounted_truncated(
-            model, strategy, lam, h, tol, budget
+            model, strategy, lam, h, tol
         )
         meta["horizon"] = horizon
         return PayoffEstimate(value, "truncated", bound=bound, metadata=meta)

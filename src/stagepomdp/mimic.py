@@ -39,14 +39,9 @@ from functools import partial
 import numpy as np
 
 from .epochs import epoch_memory_operator, simulate_batch
-from .errors import (
-    InsufficientEpochs,
-    NoAcceptedSamples,
-    TruncationDominates,
-)
+from .errors import NoAcceptedSamples, TruncationDominates
 from .model import PomdpModel, validate_stage_duration
 from .strategies import (
-    DEFAULT_ENUMERATION_BUDGET,
     CursorEnumeration,
     FiniteStateController,
     History,
@@ -76,27 +71,6 @@ def truncation_bound(h, k, n_max):
     if h == 1.0:
         return 0.0
     return 2.0 * k * (1.0 - h) ** n_max
-
-
-def filter_trajectory(traj, k) -> FilteredHistory:
-    """Extract the epoch-boundary coordinates of one extended trajectory.
-
-    Needs k-1 completed epochs plus one further stage.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    boundaries = traj.epoch_boundaries()  # 1-based stages with a real transition
-    found = 1
-    for i, t in enumerate(boundaries, start=1):
-        if t + 1 <= traj.horizon:
-            found = i + 1
-    if k > found:
-        raise InsufficientEpochs(k, found)
-    steps = []
-    for i in range(k - 1):
-        t_i = int(boundaries[i])
-        steps.append((int(traj.actions[t_i - 1]), int(traj.signals[t_i])))
-    return History(int(traj.signals[0]), tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -200,11 +174,11 @@ def _filtered_joint(model, fil, carried, epoch):
     return state[:, None] * np.asarray(law)
 
 
-def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
+def _filtered_joint_enumerated(model, strategy, h, fil, n_max):
     """Truncated-exact joint over (boundary state, boundary action): the
     walk of :func:`_filtered_joint` with one :func:`_enumerated_epoch` per
     epoch, from weight 1 on each cursor of the first signal."""
-    enum = CursorEnumeration(model, budget, "epoch enumeration")
+    enum = CursorEnumeration(model, "epoch enumeration")
     state = np.where(model.signal_map == fil.first_signal, model.init, 0.0)
     weights = dict.fromkeys(enum.open(state, strategy.start), 1.0)
     return _filtered_joint(model, fil, weights,
@@ -212,7 +186,7 @@ def _filtered_joint_enumerated(model, strategy, h, fil, n_max, budget):
 
 
 def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistory,
-                   n_max=None, budget=DEFAULT_ENUMERATION_BUDGET):
+                   n_max=None):
     """Joint law of (filtered history == fil, boundary state, boundary action).
 
     Returns ``(joint, bound)`` with ``joint`` unnormalized of shape
@@ -221,7 +195,7 @@ def filtered_joint(model: PomdpModel, strategy: Strategy, h, fil: FilteredHistor
     epoch truncated at ``n_max`` stages.  ``n_max`` below 1, or an action or
     signal of ``fil`` out of the model's range, raises ValueError.
     """
-    return MimicStrategy(model, strategy, h, n_max, budget).filtered_joint(fil)
+    return MimicStrategy(model, strategy, h, n_max).filtered_joint(fil)
 
 
 def _check_range(model: PomdpModel, fil: FilteredHistory):
@@ -245,15 +219,14 @@ def _conditional(joint, bound) -> MimicAction:
 
 
 def mimic_action_exact(model: PomdpModel, strategy: Strategy, h,
-                       fil: FilteredHistory, n_max=None,
-                       budget=DEFAULT_ENUMERATION_BUDGET) -> MimicAction:
+                       fil: FilteredHistory, n_max=None) -> MimicAction:
     """Conditional boundary-action law given the filtered history.
 
     Null events get the fixed uniform fallback.  When the conditioning mass
     is positive but below 10x the truncation bound the conditional is
     dominated by truncation error and :class:`TruncationDominates` is raised.
     """
-    return _conditional(*filtered_joint(model, strategy, h, fil, n_max, budget))
+    return _conditional(*filtered_joint(model, strategy, h, fil, n_max))
 
 
 def mimic_action_mc(model: PomdpModel, strategy: Strategy, h,
@@ -295,8 +268,7 @@ class MimicStrategy(Strategy):
     call and read by both the filtered-history walk and ``controller``.
     """
 
-    def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None,
-                 budget=DEFAULT_ENUMERATION_BUDGET):
+    def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None):
         self.model = model
         self.source = source
         self.h = validate_stage_duration(h)
@@ -312,7 +284,6 @@ class MimicStrategy(Strategy):
         if n_max is not None and n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max!r}")
         self.n_max = n_max
-        self.budget = budget
         self._controller = None
 
     def controller(self, n_signals):
@@ -356,7 +327,7 @@ class MimicStrategy(Strategy):
             return _filtered_joint(self.model, fil, start, partial(
                 _closed_epoch, ctrl, self.mixed)), 0.0
         joint = _filtered_joint_enumerated(self.model, self.source, self.h, fil,
-                                           self.n_max, self.budget)
+                                           self.n_max)
         return joint, truncation_bound(self.h, fil.length, self.n_max)
 
     def mimic_action(self, history: History) -> MimicAction:
@@ -374,10 +345,10 @@ class MimicStrategy(Strategy):
         return controller.start(first_signal)
 
 
-def build_mimic_strategy(model: PomdpModel, source: Strategy, h, n_max=None,
-                         budget=DEFAULT_ENUMERATION_BUDGET) -> MimicStrategy:
+def build_mimic_strategy(model: PomdpModel, source: Strategy, h,
+                         n_max=None) -> MimicStrategy:
     """Construct the mimicking strategy for ``source`` played at duration h."""
-    return MimicStrategy(model, source, h, n_max, budget)
+    return MimicStrategy(model, source, h, n_max)
 
 
 # --- finite automaton form of a controller-source mimic strategy ----------

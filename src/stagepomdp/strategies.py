@@ -28,8 +28,9 @@ import numpy as np
 from .errors import BudgetExceeded
 from .model import PomdpModel, is_stochastic, validate_mixed_action
 
-#: default cap on joint (history, state) enumeration entries
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
+#: most frontier entries one enumeration may visit, read by each
+#: :class:`CursorEnumeration` when it is built
+ENUMERATION_BUDGET = 10_000_000
 
 #: largest table, in memories, converted to a controller; a larger one keeps
 #: its cursor routes, cheaper than its dense (states x memories) product chain
@@ -442,16 +443,16 @@ class CursorEnumeration:
     (or, where all share one vector, the plain-float multiple) of the mass
     of every branch whose cursor has that merge key; cursors do not depend
     on the state, so this merge is exact.  Each :meth:`visit` charges the
-    frontier to ``budget``.
+    frontier to ``budget``, the :data:`ENUMERATION_BUDGET` at construction.
     """
 
-    def __init__(self, model: PomdpModel, budget, what):
+    def __init__(self, model: PomdpModel, what):
         self.signal_map = model.signal_map
         self.n_actions = model.n_actions
         # onehot[s, w] is 1 where state w shows signal s
         self.onehot = (model.signal_map == np.arange(model.n_signals)[:, None]) * 1.0
         self.table = CursorTable(model.n_actions, model.n_signals)
-        self.budget = budget
+        self.budget = ENUMERATION_BUDGET
         self.what = what
         self.visits = 0
 
@@ -503,20 +504,20 @@ class CursorEnumeration:
             frontier[i] = mass
 
 
-def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth,
-                               budget=DEFAULT_ENUMERATION_BUDGET):
+def exact_history_distribution(model: PomdpModel, strategy: Strategy, depth):
     """Exact joint law of (history of length ``depth``, current state).
 
     Returns a map ``(History, state_index) -> probability`` containing the
     positive-probability entries; the total mass is 1 up to roundoff.  The
-    action law at each history is ``strategy.act``.
+    action law at each history is ``strategy.act``.  ``BudgetExceeded`` is
+    raised up front when the worst case exceeds :data:`ENUMERATION_BUDGET`.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    enum = CursorEnumeration(model, "history expansion")
     worst = model.n_states * (model.n_actions * model.n_signals) ** (depth - 1)
-    if worst > budget:
-        raise BudgetExceeded(worst, budget, f"history depth {depth}")
-    enum = CursorEnumeration(model, budget, "history expansion")
+    if worst > enum.budget:
+        raise BudgetExceeded(worst, enum.budget, f"history depth {depth}")
     frontier = enum.open(model.init, lambda s: ReplayCursor(strategy, History(s)))
     for _ in range(depth - 1):
         grown = {}

@@ -121,40 +121,32 @@ def figure1_model() -> PomdpModel:
     )
 
 
-def fully_observed_model(seed=11) -> PomdpModel:
+def _seeded_model(seed, signals, signal_map) -> PomdpModel:
+    """Seeded dense 3-state, 2-action model with the given signals."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, size=(3, 2, 3))
+    transition = raw / raw.sum(axis=2, keepdims=True)
+    payoff = rng.uniform(0.0, 1.0, size=(3, 2))
+    init_raw = rng.uniform(0.1, 1.0, size=3)
+    return make_model(
+        states=("w1", "w2", "w3"),
+        actions=("a", "b"),
+        signals=signals,
+        signal_map=signal_map,
+        payoff=payoff,
+        transition=transition,
+        init=init_raw / init_raw.sum(),
+    )
+
+
+def fully_observed_model() -> PomdpModel:
     """Seeded dense 3-state MDP with identity signal map."""
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.05, 1.0, size=(3, 2, 3))
-    transition = raw / raw.sum(axis=2, keepdims=True)
-    payoff = rng.uniform(0.0, 1.0, size=(3, 2))
-    init_raw = rng.uniform(0.1, 1.0, size=3)
-    return make_model(
-        states=("w1", "w2", "w3"),
-        actions=("a", "b"),
-        signals=("w1", "w2", "w3"),
-        signal_map=[0, 1, 2],
-        payoff=payoff,
-        transition=transition,
-        init=init_raw / init_raw.sum(),
-    )
+    return _seeded_model(11, ("w1", "w2", "w3"), [0, 1, 2])
 
 
-def random_pomdp_model(seed=23) -> PomdpModel:
+def random_pomdp_model() -> PomdpModel:
     """Seeded dense 3-state POMDP with two signals (not fully observed)."""
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.05, 1.0, size=(3, 2, 3))
-    transition = raw / raw.sum(axis=2, keepdims=True)
-    payoff = rng.uniform(0.0, 1.0, size=(3, 2))
-    init_raw = rng.uniform(0.1, 1.0, size=3)
-    return make_model(
-        states=("w1", "w2", "w3"),
-        actions=("a", "b"),
-        signals=("s1", "s2"),
-        signal_map=[0, 0, 1],
-        payoff=payoff,
-        transition=transition,
-        init=init_raw / init_raw.sum(),
-    )
+    return _seeded_model(23, ("s1", "s2"), [0, 0, 1])
 
 
 def alternating_sequence(model: PomdpModel) -> SequenceStrategy:
@@ -366,9 +358,12 @@ def check_monotonicity(model: PomdpModel, h_grid, lam_grid, *,
 
     Each estimate carries its own convergence diagnostics; a decrease is a
     failure only when it exceeds the two estimates' aggregated slack plus
-    a 1e-3 floor.
+    a 1e-3 floor.  ``ValueError`` unless ``h_grid`` has at least two points
+    and is strictly increasing.
     """
     h_grid = [validate_stage_duration(h) for h in h_grid]
+    if len(h_grid) < 2:
+        raise ValueError("h_grid needs at least two points")
     if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
         raise ValueError("h_grid must be strictly increasing")
     estimates = [

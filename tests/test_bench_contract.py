@@ -37,6 +37,26 @@ def test_value_estimate_positional_order():
     assert params[:4] == ["model", "lam", "h", "grid_resolution"]
 
 
+def test_traced_argument_positions_and_defaults():
+    # the tracer names spans and counts simulated stages from these
+    # arguments: it reads them by position, falls back on these defaults,
+    # takes tol and n_traj from keywords only and caps a Monte Carlo
+    # discounted play at 200,000 stages
+    def params(func):
+        return inspect.signature(func).parameters
+
+    payoff = params(evaluate.discounted_payoff)
+    assert list(payoff)[:5] == ["model", "strategy", "lam", "h", "method"]
+    assert payoff["method"].default == "exact"
+    for name, default in (("tol", 1e-12), ("n_traj", 1000)):
+        assert payoff[name].default == default
+        assert payoff[name].kind is inspect.Parameter.KEYWORD_ONLY
+    assert list(params(evaluate.longrun_average_mc))[3:5] == ["horizon", "n_traj"]
+    assert list(params(mimic.mimic_action_mc))[2:5] == ["h", "fil", "n_samples"]
+    assert list(params(mimic.filtered_joint))[1] == "strategy"
+    assert evaluate.MC_HORIZON_CAP == 200_000
+
+
 def test_enumerated_jobs_stay_on_the_enumeration_route():
     # the benchmark's "enumerated" and opaque jobs exist to measure cursor
     # enumeration, so its opaque wrapper must have no finite form, while its

@@ -140,8 +140,9 @@ def test_fsc_missing_rule_row_exit_2(capsys, tmp_path):
      "--csv", "{csv}"],
     ["mimic", "{fig1}", "--h", "0.5", "--strategy", "seq:a,b", "--history", "s1",
      "--n-max", "0"],
+    ["sweep", "{fig1}", "--h-grid", "", "--csv", "{csv}"],
 ], ids=["transform-h", "mimic-h", "evaluate-lambda", "evaluate-horizon",
-        "sweep-lambda-grid", "mimic-n-max"])
+        "sweep-lambda-grid", "mimic-n-max", "sweep-empty-h-grid"])
 def test_out_of_range_input_exit_2(capsys, fig1_file, tmp_path, argv):
     # a value the library rejects is an input error, not a failed check
     argv = [a.format(fig1=fig1_file, csv=tmp_path / "out.csv") for a in argv]

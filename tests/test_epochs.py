@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stagepomdp import strategies
 from stagepomdp.epochs import (
     _cdf,
     _ControllerMemory,
@@ -14,7 +15,6 @@ from stagepomdp.epochs import (
     _draw,
     _kernel_draw,
     epoch_memory_operator,
-    geometric_tail,
     sample_epochs,
     simulate_batch,
     simulate_epochs_gh,
@@ -80,14 +80,6 @@ def test_epoch_moments(h):
     assert abs(frac - (1.0 - h) ** 2) <= 3.0 * se_frac
 
 
-def test_geometric_tail_values():
-    assert geometric_tail(0.3, 1) == 1.0
-    assert geometric_tail(0.5, 3) == 0.25
-    assert geometric_tail(1.0, 2) == 0.0
-    with pytest.raises(ValueError):
-        geometric_tail(0.5, 0)
-
-
 def test_simulate_marks_all_one_at_h1():
     m = figure1_model()
     seq = SequenceStrategy.pure([0, 1], 2)
@@ -103,6 +95,24 @@ def test_simulate_freeze_contract():
         if traj.marks[j] == 0:
             assert traj.states[j + 1] == traj.states[j]
     assert np.array_equal(traj.signals, m.signal_map[traj.states])
+
+
+class TopUniform(np.random.Generator):
+    """A generator whose every uniform is 1 - 1e-15, just below 1."""
+
+    def random(self, size=None):
+        return 1.0 - 1e-15 if size is None else np.full(size, 1.0 - 1e-15)
+
+
+def test_simulate_never_draws_a_zero_probability_index():
+    # validation accepts a row summing to just under 1; a uniform above its
+    # sum must still land on the last positive entry, never on the 0 after it
+    row = [0.5, 0.5 - 1e-13, 0.0]
+    m = make_model(["w1", "w2", "w3"], ["a", "b"], ["s"], [0, 0, 0],
+                   np.zeros((3, 2)), np.tile(row, (3, 2, 1)), row)
+    seq = SequenceStrategy.pure([0, 1], 2)
+    traj = simulate_gh(m, seq, 1.0, 4, TopUniform(np.random.PCG64(0)))
+    assert np.all(traj.states == 1)
 
 
 def test_simulate_mark_frequency():
@@ -441,18 +451,19 @@ def test_cursor_table_holds_only_live_cursors(monkeypatch):
 
 @pytest.mark.parametrize("route, needed", [("joint", 90), ("truncated", 170),
                                            ("histories", 192)])
-def test_budgets_charge_one_visit_per_frontier_entry(route, needed):
+def test_budgets_charge_one_visit_per_frontier_entry(route, needed, monkeypatch):
     # the budgets each enumerator needed when frontiers held cursors by key
     m = random_pomdp_model()
     strategy = Opaque(mixing_controller(m))
-    call = {"joint": lambda b: filtered_joint(m, strategy, 0.5, History(0, ((1, 1),)),
-                                              n_max=30, budget=b),
-            "truncated": lambda b: discounted_payoff(m, strategy, 0.3, 0.5, budget=b),
-            "histories": lambda b: exact_history_distribution(m, strategy, 4,
-                                                              budget=b)}[route]
-    call(needed)
+    call = {"joint": lambda: filtered_joint(m, strategy, 0.5, History(0, ((1, 1),)),
+                                            n_max=30),
+            "truncated": lambda: discounted_payoff(m, strategy, 0.3, 0.5),
+            "histories": lambda: exact_history_distribution(m, strategy, 4)}[route]
+    monkeypatch.setattr(strategies, "ENUMERATION_BUDGET", needed)
+    call()
+    monkeypatch.setattr(strategies, "ENUMERATION_BUDGET", needed - 1)
     with pytest.raises(BudgetExceeded):
-        call(needed - 1)
+        call()
 
 
 class SignalParity(Strategy):

@@ -9,12 +9,11 @@ from scipy.sparse.csgraph import connected_components
 
 from stagepomdp import evaluate
 from stagepomdp.epochs import worker_rng
-from stagepomdp.errors import BudgetExceeded, ImpossibleObservation, NotConverged
+from stagepomdp.errors import BudgetExceeded, NotConverged
 from stagepomdp.evaluate import (
     DEFAULT_LAMBDA_GRID,
     MC_HORIZON_CAP,
     asymptotic_value_estimate,
-    belief_update,
     cesaro_average,
     discounted_payoff,
     discounted_value_estimate,
@@ -333,31 +332,6 @@ def test_cesaro_average_matches_class_decomposition():
         chain, init, payoffs = _random_chain(rng)
         assert cesaro_average(chain, init, payoffs) == pytest.approx(
             _reference_cesaro(chain, init, payoffs), abs=1e-12)
-
-
-# --- beliefs ----------------------------------------------------------------------------
-
-def test_belief_update_deterministic_delta():
-    m = figure1_model()
-    out = belief_update(m, [1.0, 0.0, 0.0], 0, 0)
-    assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-15)
-
-
-def test_belief_update_even_split():
-    m = stage_duration_transform(figure1_model(), 0.5)
-    out = belief_update(m, [1.0, 0.0, 0.0], 0, 0)
-    assert np.allclose(out, [0.5, 0.5, 0.0], atol=1e-15)
-
-
-def test_belief_update_impossible_observation():
-    m = make_model(
-        ["w1", "w2"], ["a"], ["s1", "s2"], [0, 1],
-        np.zeros((2, 1)),
-        np.stack([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]),
-        [1.0, 0.0],
-    )
-    with pytest.raises(ImpossibleObservation):
-        belief_update(m, [1.0, 0.0], 0, 1)
 
 
 # --- value estimates ---------------------------------------------------------------------

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagepomdp.epochs import ExtendedTrajectory, epoch_memory_operator, worker_rng
+from stagepomdp import strategies
+from stagepomdp.epochs import epoch_memory_operator, worker_rng
 from stagepomdp.errors import (
     BudgetExceeded,
-    InsufficientEpochs,
     NoAcceptedSamples,
     TruncationDominates,
 )
@@ -26,7 +26,6 @@ from stagepomdp.mimic import (
     build_filter_machine,
     build_mimic_strategy,
     default_truncation,
-    filter_trajectory,
     filtered_joint,
     mimic_action_exact,
     mimic_action_mc,
@@ -42,7 +41,6 @@ from stagepomdp.strategies import (
     TableStrategy,
     exact_history_distribution,
 )
-from stagepomdp.epochs import simulate_gh
 from stagepomdp.verify import (
     alternating_controller,
     figure1_model,
@@ -72,54 +70,6 @@ def small_table_strategy():
         },
         default=[0.5, 0.5],
     )
-
-
-# --- filtering -----------------------------------------------------------------
-
-def test_filter_first_epoch_only():
-    m = figure1_model()
-    traj = simulate_gh(m, SequenceStrategy.pure([0, 1], 2), 0.5, 20, 1)
-    assert filter_trajectory(traj, 1) == History(int(traj.signals[0]))
-
-
-def test_filter_at_h1_is_prefix():
-    m = random_pomdp_model()
-    traj = simulate_gh(m, SequenceStrategy.pure([0, 1], 2), 1.0, 10, 2)
-    for k in (1, 2, 3, 4):
-        fil = filter_trajectory(traj, k)
-        expected = History(
-            int(traj.signals[0]),
-            tuple((int(traj.actions[j]), int(traj.signals[j + 1]))
-                  for j in range(k - 1)),
-        )
-        assert fil == expected
-
-
-def test_filter_hand_built_epochs():
-    # epoch lengths (2, 1): boundaries at stages 2 and 3, so the filtered
-    # record keeps the action of stage 2 and the signal of stage 3
-    traj = ExtendedTrajectory(
-        states=np.array([0, 0, 1, 1]),
-        actions=np.array([0, 1, 0, 1]),
-        signals=np.array([0, 0, 0, 0]),
-        marks=np.array([0, 1, 1, 0], dtype=np.int8),
-    )
-    fil = filter_trajectory(traj, 2)
-    assert fil == History(0, ((1, 0),))
-    fil3 = filter_trajectory(traj, 3)
-    assert fil3 == History(0, ((1, 0), (0, 0)))
-
-
-def test_filter_insufficient_epochs():
-    traj = ExtendedTrajectory(
-        states=np.array([0, 0]),
-        actions=np.array([0, 0]),
-        signals=np.array([0, 0]),
-        marks=np.array([0, 0], dtype=np.int8),
-    )
-    with pytest.raises(InsufficientEpochs) as err:
-        filter_trajectory(traj, 2)
-    assert err.value.found == 1
 
 
 def test_default_truncation_levels():
@@ -292,7 +242,8 @@ def reference_step(enum, into, i, mass, alpha, kernel, action=None, signal=None)
 
 def reference_joint(model, strategy, h, fil, n_max):
     """``(joint, visits)`` of the filtered joint, stage by stage."""
-    enum = CursorEnumeration(model, math.inf, "reference")
+    enum = CursorEnumeration(model, "reference")
+    enum.budget = math.inf
     frontier = enum.open(
         np.where(model.signal_map == fil.first_signal, model.init, 0.0), strategy.start)
     signal = fil.first_signal
@@ -346,7 +297,8 @@ def reference_discounted(model, strategy, lam, h, tol):
     eff = lam * h
     mh = stage_duration_transform(model, h) if h != 1.0 else model
     horizon = _tail_horizon(model, eff, tol)
-    enum = CursorEnumeration(model, math.inf, "reference")
+    enum = CursorEnumeration(model, "reference")
+    enum.budget = math.inf
     frontier = enum.open(model.init, strategy.start)
     total = 0.0
     weight = eff
@@ -365,7 +317,8 @@ def reference_discounted(model, strategy, lam, h, tol):
 
 def reference_histories(model, strategy, depth):
     """``exact_history_distribution``, stage by stage."""
-    enum = CursorEnumeration(model, math.inf, "reference")
+    enum = CursorEnumeration(model, "reference")
+    enum.budget = math.inf
     frontier = enum.open(model.init, lambda s: ReplayCursor(strategy, History(s)))
     for _ in range(depth - 1):
         grown = {}
@@ -378,10 +331,14 @@ def reference_histories(model, strategy, depth):
 
 
 def assert_budget_is(run, visits):
-    """``run(budget)`` succeeds at ``visits`` and raises one below."""
-    run(visits)
-    with pytest.raises(BudgetExceeded):
-        run(visits - 1)
+    """``run()`` succeeds with an enumeration budget of ``visits`` and raises
+    with one below."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strategies, "ENUMERATION_BUDGET", visits)
+        run()
+        patch.setattr(strategies, "ENUMERATION_BUDGET", visits - 1)
+        with pytest.raises(BudgetExceeded):
+            run()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -413,10 +370,10 @@ def test_enumerators_match_per_stage_reference(seed, n_states, n_actions, n_sign
     null = [hist for hist in every if hist not in support]
     for fil in [support[seed % len(support)]] + null[:2]:
         joint, visits = reference_joint(model, strategy, h, fil, n_max)
-        got = _filtered_joint_enumerated(model, strategy, h, fil, n_max, visits)
+        got = _filtered_joint_enumerated(model, strategy, h, fil, n_max)
         assert np.max(np.abs(got - joint)) <= 1e-14
-        assert_budget_is(lambda budget: _filtered_joint_enumerated(
-            model, strategy, h, fil, n_max, budget), visits)
+        assert_budget_is(lambda: _filtered_joint_enumerated(
+            model, strategy, h, fil, n_max), visits)
         # the unwrapped controller takes the closed-form route
         dense = reference_closed_joint(model, ctrl, h, fil)
         closed, bound = filtered_joint(model, ctrl, h, fil)
@@ -427,11 +384,11 @@ def test_enumerators_match_per_stage_reference(seed, n_states, n_actions, n_sign
             assert not closed.any()
 
     value, horizon, visits = reference_discounted(model, strategy, 1.0, h, 0.3)
-    got, _, got_horizon = _discounted_truncated(model, strategy, 1.0, h, 0.3, visits)
+    got, _, got_horizon = _discounted_truncated(model, strategy, 1.0, h, 0.3)
     assert got_horizon == horizon
     assert abs(got - value) <= 1e-14
-    assert_budget_is(lambda budget: _discounted_truncated(
-        model, strategy, 1.0, h, 0.3, budget), visits)
+    assert_budget_is(lambda: _discounted_truncated(
+        model, strategy, 1.0, h, 0.3), visits)
 
 
 def depth_two_table(model):
@@ -480,12 +437,13 @@ def test_mimic_controller_plays_the_mimic(model_fn, source_fn, h):
             assert np.max(np.abs(mimic.act(hist) - ctrl.act(hist))) <= 1e-12
 
 
-def test_mixing_mimic_payoffs_are_exact():
+def test_mixing_mimic_payoffs_are_exact(monkeypatch):
     # this mimic's filters never close, so enumerating its cursors ran out
     # of any budget; its controller gives the payoff by one solve
     m = random_pomdp_model()
     mimic = build_mimic_strategy(m, mixing_controller(m), 0.3)
-    exact = discounted_payoff(m, mimic, 0.5, 1.0, budget=20_000)
+    monkeypatch.setattr(strategies, "ENUMERATION_BUDGET", 20_000)
+    exact = discounted_payoff(m, mimic, 0.5, 1.0)
     assert exact.mode == "exact"
     mc = discounted_payoff(m, mimic, 0.5, 1.0, method="mc")
     assert abs(exact.value - mc.value) <= 4.0 * mc.std_error
@@ -687,14 +645,13 @@ def test_mimic_act_thread_safe():
         assert np.array_equal(results[i], mimic.act(histories[i % len(histories)]))
 
 
-def test_enumeration_budget_guard():
-    from stagepomdp.errors import BudgetExceeded
-
+def test_enumeration_budget_guard(monkeypatch):
     m = figure1_model()
     table = Opaque(small_table_strategy())
+    monkeypatch.setattr(strategies, "ENUMERATION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         mimic_action_exact(m, table, 0.5, History(0, ((0, 0), (1, 0))),
-                           n_max=30, budget=10)
+                           n_max=30)
 
 
 def test_mimic_memoization_and_bounds():

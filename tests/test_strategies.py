@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stagepomdp import strategies
 from stagepomdp.epochs import simulate_batch, simulate_gh, worker_rng
 from stagepomdp.evaluate import (
     discounted_payoff,
@@ -321,11 +322,12 @@ def test_monte_carlo_history_consistency():
         assert abs(freq - p) <= 3.5 * se
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     model = random_pomdp_model()
     seq = SequenceStrategy.pure([0], model.n_actions)
+    monkeypatch.setattr(strategies, "ENUMERATION_BUDGET", 1000)
     with pytest.raises(BudgetExceeded):
-        exact_history_distribution(model, seq, 30, budget=1000)
+        exact_history_distribution(model, seq, 30)
 
 
 def one_memory_controller(n_actions, n_signals):

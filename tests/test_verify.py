@@ -293,6 +293,13 @@ def test_monotonicity_fast_grids():
     assert report.passed
 
 
+@pytest.mark.parametrize("h_grid", [(), (0.5,)], ids=["empty", "one"])
+def test_monotonicity_needs_two_durations(h_grid):
+    # a check over fewer than two durations compares nothing
+    with pytest.raises(ValueError, match="at least two"):
+        check_monotonicity(figure1_model(), h_grid, (0.1, 0.05), grid_resolution=8)
+
+
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         run_suite("nope")
