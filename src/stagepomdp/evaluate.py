@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,16 +357,22 @@ def _tabular_discounted_value(mh: PomdpModel, eff):
     return _policy_iteration(rewards, mh.transition, succ_idx, eff, solve)
 
 
-def _belief_lattice(n_states, resolution):
-    """Lattice beliefs with denominator ``resolution``, one row per point in
-    lexicographic order of the integer compositions: as stars and bars,
-    the order in which ``itertools.combinations`` yields the bar slots."""
+def _lattice_size(n_states, resolution):
+    """Points of the belief lattice; ``BudgetExceeded`` past the guard."""
     n_points = math.comb(resolution + n_states - 1, n_states - 1)
     if n_points > MAX_LATTICE_POINTS:
         raise BudgetExceeded(
             n_points, MAX_LATTICE_POINTS,
             f"belief lattice over {n_states} states at resolution {resolution}",
         )
+    return n_points
+
+
+def _belief_lattice(n_states, resolution):
+    """Lattice beliefs with denominator ``resolution``, one row per point in
+    lexicographic order of the integer compositions: as stars and bars,
+    the order in which ``itertools.combinations`` yields the bar slots."""
+    n_points = _lattice_size(n_states, resolution)
     slots = resolution + n_states - 1
     bars = np.fromiter(
         itertools.chain.from_iterable(
@@ -426,15 +433,44 @@ def _lattice_successors(mh: PomdpModel, grid, resolution, binom):
     return succ_mass, succ_idx
 
 
+#: ``_lattice_table``'s memo by content key, least recently used first
+_LATTICE_TABLES = {}
+_LATTICE_LOCK = threading.Lock()
+
+
+def _lattice_table(mh: PomdpModel, resolution):
+    """Read-only binomial table, per-point payoffs (N, A) and
+    ``_lattice_successors``' masses and rows: the discount-free part of a
+    grid solve.  Held by content, so built once per (model, h, resolution);
+    least recently used tables go first to hold at most
+    ``MAX_LATTICE_POINTS`` points.  The size guard runs on every call."""
+    _lattice_size(mh.n_states, resolution)
+    key = (resolution, mh.n_signals, mh.transition.shape, mh.signal_map.tobytes(),
+           mh.transition.tobytes(), mh.payoff.tobytes())
+    with _LATTICE_LOCK:
+        table = _LATTICE_TABLES.pop(key, None)
+        if table is None:
+            grid = _belief_lattice(mh.n_states, resolution)
+            binom = _binomials(mh.n_states, resolution)
+            table = (binom, grid @ mh.payoff,
+                     *_lattice_successors(mh, grid, resolution, binom))
+            for array in table:
+                array.flags.writeable = False
+        _LATTICE_TABLES[key] = table
+        held = sum(t[1].shape[0] for t in _LATTICE_TABLES.values())
+        while held > MAX_LATTICE_POINTS:
+            held -= _LATTICE_TABLES.pop(next(iter(_LATTICE_TABLES)))[1].shape[0]
+        return table
+
+
 def _belief_grid_value(mh: PomdpModel, eff, resolution):
     """Optimal values of the projected lattice MDP by ``_policy_iteration``
-    with one sparse solve per policy.  Returns the value lookup, the Bellman
-    residual of the returned values and the number of policy evaluations."""
-    grid = _belief_lattice(mh.n_states, resolution)
-    binom = _binomials(mh.n_states, resolution)
-    n_pts = grid.shape[0]
-    rewards = eff * (grid @ mh.payoff)  # (N, A)
-    succ_mass, succ_idx = _lattice_successors(mh, grid, resolution, binom)
+    with one sparse solve per policy over ``_lattice_table``'s successors.
+    Returns the value lookup, the Bellman residual of the returned values
+    and the number of policy evaluations."""
+    binom, payoffs, succ_mass, succ_idx = _lattice_table(mh, resolution)
+    n_pts = payoffs.shape[0]
+    rewards = eff * payoffs  # (N, A)
     rows = np.arange(n_pts)
     width = mh.n_signals + 1  # a row's diagonal and its successors
     indptr = np.arange(0, width * n_pts + 1, width)
@@ -475,7 +511,9 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
     A fully observed model is solved over its states, exactly; otherwise
     over the belief lattice of denominator ``grid_resolution`` with
     nearest-point projection, flagged approximate, with ``grid_gap`` the
-    value change from half to full resolution.  Both run policy iteration
+    value change from half resolution (1 at resolution 2) to full; the
+    lattice and successor tables are built once per (model, h, resolution)
+    and shared across lam.  Both run policy iteration
     from the payoff-greedy policy; ``stopping_bound`` is the final Bellman
     residual times (1-lam*h)/(lam*h), and ``metadata["policy_steps"]``
     counts the policy evaluations (of the full-resolution grid solve).
@@ -497,7 +535,8 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
     else:
         value_at, residual, steps = _belief_grid_value(mh, eff, grid_resolution)
         value = _initial_belief_value(model, value_at)
-        coarse_at, _, _ = _belief_grid_value(mh, eff, max(2, grid_resolution // 2))
+        coarse = max(2, grid_resolution // 2) if grid_resolution > 2 else 1
+        coarse_at, _, _ = _belief_grid_value(mh, eff, coarse)
         mode = "approximate"
         diagnostics = {"grid_gap": abs(value - _initial_belief_value(model, coarse_at))}
         meta["grid_resolution"] = grid_resolution

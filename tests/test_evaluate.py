@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -611,6 +614,143 @@ def test_belief_grid_stopping_bound_covers_bellman_residual():
             "nas,nas->na", succ_mass, values[succ_idx])
         residual = float(np.max(np.abs(q.max(axis=1) - values)))
         assert est.diagnostics["stopping_bound"] >= residual * (1.0 - eff) / eff
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh lattice-table memo for the test, the old one put back after."""
+    monkeypatch.setattr(evaluate, "_LATTICE_TABLES", {})
+    return evaluate._LATTICE_TABLES
+
+
+def held_points(memo):
+    return sum(table[1].shape[0] for table in memo.values())
+
+
+def test_lattice_memo_hit_and_miss_give_equal_estimates(empty_memo):
+    m = random_pomdp_model()
+    missed = discounted_value_estimate(m, 0.05, 0.5, 12)
+    assert len(empty_memo) == 2  # fine and coarse
+    hit = discounted_value_estimate(m, 0.05, 0.5, 12)
+    empty_memo.clear()
+    rebuilt = discounted_value_estimate(m, 0.05, 0.5, 12)
+    assert hit == missed and rebuilt == missed  # every field, with ==
+
+
+def test_held_lattice_arrays_are_read_only(empty_memo):
+    mh = stage_duration_transform(random_pomdp_model(), 0.5)
+    table = evaluate._lattice_table(mh, 8)
+    assert len(table) == 4
+    for array in table:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1
+
+
+def _nudged(model, name):
+    """``model`` with one entry of its array ``name`` changed."""
+    array = getattr(model, name).copy()
+    if name == "signal_map":
+        array[0] = (array[0] + 1) % model.n_signals
+    else:
+        array.flat[0] = np.nextafter(array.flat[0], 2.0)
+    return dataclasses.replace(model, **{name: array})
+
+
+@pytest.mark.parametrize("name", ["transition", "signal_map", "payoff"])
+def test_lattice_memo_misses_on_changed_content(empty_memo, name):
+    mh = stage_duration_transform(random_pomdp_model(), 0.5)
+    base = evaluate._lattice_table(mh, 8)
+    assert evaluate._lattice_table(mh, 8) is base
+    changed = _nudged(mh, name)
+    table = evaluate._lattice_table(changed, 8)
+    assert table is not base and len(empty_memo) == 2
+    empty_memo.clear()
+    for held, fresh in zip(table, evaluate._lattice_table(changed, 8)):
+        assert np.array_equal(held, fresh)
+
+
+def test_lattice_memo_evicts_to_the_point_bound(empty_memo, monkeypatch):
+    # figure 1 at resolution 12: 91 fine and 28 coarse points per h
+    monkeypatch.setattr(evaluate, "MAX_LATTICE_POINTS", 200)
+    built = 0
+    for h in (0.25, 0.5, 0.75, 1.0):
+        discounted_value_estimate(figure1_model(), 0.05, h, 12)
+        built += 91 + 28
+        assert held_points(empty_memo) <= 200
+    # the last call's two tables and, least recently used, h = 0.75's coarse one
+    assert built > 200 and held_points(empty_memo) == 28 + 91 + 28
+    kernel = figure1_model().transition.tobytes()  # h = 1 keeps the kernel
+    assert [kernel in key for key in empty_memo] == [False, True, True]
+
+
+def test_held_lattice_table_still_meets_the_size_guard(empty_memo, monkeypatch):
+    discounted_value_estimate(figure1_model(), 0.05, 0.5, 12)
+    monkeypatch.setattr(evaluate, "MAX_LATTICE_POINTS", 90)  # the lattice has 91
+    with pytest.raises(BudgetExceeded):
+        discounted_value_estimate(figure1_model(), 0.05, 0.5, 12)
+
+
+def test_asymptotic_estimate_builds_one_table_per_resolution(empty_memo, monkeypatch):
+    built = []
+    successors = evaluate._lattice_successors
+
+    def counted(mh, grid, resolution, binom):
+        built.append(resolution)
+        return successors(mh, grid, resolution, binom)
+
+    monkeypatch.setattr(evaluate, "_lattice_successors", counted)
+    asymptotic_value_estimate(random_pomdp_model(), 0.5, grid_resolution=12)
+    assert sorted(built) == [6, 12]
+
+
+def test_lattice_memo_builds_each_table_once_under_threads(empty_memo, monkeypatch):
+    # more threads than cores asking for the same tables in the same order,
+    # with a short switch interval: an unguarded memo lets two threads miss
+    # the same key and build it twice
+    built = []
+    successors = evaluate._lattice_successors
+
+    def counted(mh, grid, resolution, binom):
+        built.append(resolution)
+        return successors(mh, grid, resolution, binom)
+
+    monkeypatch.setattr(evaluate, "_lattice_successors", counted)
+    mh = stage_duration_transform(random_pomdp_model(), 0.5)
+    got, errors = [], []
+
+    def work():
+        try:
+            got.extend((r, evaluate._lattice_table(mh, r)) for r in range(2, 30))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(built) == list(range(2, 30))
+    one = dict(got)
+    assert len(got) == 4 * len(one) and all(table is one[r] for r, table in got)
+
+
+def test_grid_gap_compares_a_coarser_lattice_at_resolution_2():
+    # the coarse lattice used to be the fine one at resolution 2, so the
+    # gap read 0 whatever the two values
+    m, lam, h = random_pomdp_model(), 0.05, 0.5
+    est = discounted_value_estimate(m, lam, h, 2)
+    mh = stage_duration_transform(m, h)
+    coarse_at, _, _ = evaluate._belief_grid_value(mh, lam * h, 1)
+    coarse = evaluate._initial_belief_value(m, coarse_at)
+    assert est.diagnostics["grid_gap"] == abs(est.value - coarse)
+    assert est.diagnostics["grid_gap"] > 0.01
 
 
 def test_tabular_stopping_bound_covers_a_residual_lost_to_rounding():
