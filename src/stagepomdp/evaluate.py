@@ -9,7 +9,6 @@ trailing-window minimum as a conservative proxy.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import threading
@@ -368,21 +367,6 @@ def _lattice_size(n_states, resolution):
     return n_points
 
 
-def _belief_lattice(n_states, resolution):
-    """Lattice beliefs with denominator ``resolution``, one row per point in
-    lexicographic order of the integer compositions: as stars and bars,
-    the order in which ``itertools.combinations`` yields the bar slots."""
-    n_points = _lattice_size(n_states, resolution)
-    slots = resolution + n_states - 1
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(slots), n_states - 1)),
-        dtype=np.int64, count=n_points * (n_states - 1),
-    ).reshape(n_points, n_states - 1)
-    edges = np.column_stack([np.full(n_points, -1), bars, np.full(n_points, slots)])
-    return (np.diff(edges, axis=1) - 1) / resolution
-
-
 def _project_rows(beliefs, resolution):
     """Nearest lattice composition of each belief row: floor, then one more
     unit to each of the ``short`` slots with the largest fractional parts."""
@@ -402,8 +386,8 @@ def _binomials(n_states, resolution):
 
 
 def _lattice_rank(counts, resolution, binom):
-    """Row of each composition in ``_belief_lattice``'s order; ``binom`` is
-    ``_binomials(W, resolution)``.
+    """Rank of each composition of ``resolution`` in the lexicographic order
+    of the lattice's compositions; ``binom`` is ``_binomials(W, resolution)``.
 
     With k_i = W-1-i slots after slot i and r_i units left before it, the
     compositions ranked earlier at slot i number C(r_i+k_i, k_i) -
@@ -415,22 +399,44 @@ def _lattice_rank(counts, resolution, binom):
     return (binom[left, k] - binom[left - counts, k]).sum(axis=1)
 
 
-def _lattice_successors(mh: PomdpModel, grid, resolution, binom):
-    """Mass and projected lattice row of every (point, action, signal) successor."""
-    n_pts = grid.shape[0]
-    succ_mass = np.zeros((n_pts, mh.n_actions, mh.n_signals))
-    succ_idx = np.zeros((n_pts, mh.n_actions, mh.n_signals), dtype=np.int64)
-    for a in range(mh.n_actions):
-        pushed = grid @ mh.transition[:, a, :]
-        for s in range(mh.n_signals):
-            part = np.where(mh.signal_map == s, pushed, 0.0)
-            mass = part.sum(axis=1)
-            live = mass > 0.0
-            succ_mass[live, a, s] = mass[live]
-            succ_idx[live, a, s] = _lattice_rank(
-                _project_rows(part[live] / mass[live, None], resolution),
-                resolution, binom)
-    return succ_mass, succ_idx
+def _reachable_lattice(mh: PomdpModel, resolution):
+    """The lattice points reachable from the projected per-signal initial
+    beliefs, by a breadth-first search that expands each point once, rows in
+    order of discovery: the initial signal masses and their rows, per-point
+    payoffs (N, A), and the mass and row of every (point, action, signal)
+    successor (row 0 where the mass is 0)."""
+    binom = _binomials(mh.n_states, resolution)
+    own = mh.signal_map == np.arange(mh.n_signals)[:, None]  # (S, W)
+    rows = {}  # lattice rank -> row
+    depths = []  # counts of the points first reached at each depth
+
+    def place(beliefs):
+        """Rows of the beliefs' projections; new points form the next depth."""
+        counts = _project_rows(beliefs, resolution)
+        ranks, first, inverse = np.unique(_lattice_rank(counts, resolution, binom),
+                                          return_index=True, return_inverse=True)
+        known = len(rows)
+        found = np.array([rows.setdefault(r, len(rows)) for r in ranks.tolist()])
+        if len(rows) > known:
+            depths.append(counts[first[found >= known]])
+        return found[inverse]
+
+    start_mass = np.where(own, mh.init, 0.0).sum(axis=1)
+    live = start_mass > 0.0
+    start_rows = np.zeros(mh.n_signals, dtype=np.int64)
+    start_rows[live] = place(np.where(own[live], mh.init, 0.0)
+                             / start_mass[live, None])
+    tables = []
+    for counts in depths:  # place() appends the next depth while this runs
+        beliefs = counts / resolution
+        pushed = np.tensordot(beliefs, mh.transition, axes=1)  # (N, A, W)
+        parts = np.where(own, pushed[:, :, None, :], 0.0)  # (N, A, S, W)
+        mass = parts.sum(axis=3)
+        live = mass > 0.0
+        succ_idx = np.zeros(mass.shape, dtype=np.int64)
+        succ_idx[live] = place(parts[live] / mass[live][:, None])
+        tables.append((beliefs @ mh.payoff, mass, succ_idx))
+    return (start_mass, start_rows, *map(np.concatenate, zip(*tables)))
 
 
 #: ``_lattice_table``'s memo by content key, least recently used first
@@ -439,36 +445,36 @@ _LATTICE_LOCK = threading.Lock()
 
 
 def _lattice_table(mh: PomdpModel, resolution):
-    """Read-only binomial table, per-point payoffs (N, A) and
-    ``_lattice_successors``' masses and rows: the discount-free part of a
-    grid solve.  Held by content, so built once per (model, h, resolution);
-    least recently used tables go first to hold at most
-    ``MAX_LATTICE_POINTS`` points.  The size guard runs on every call."""
+    """``_reachable_lattice(mh, resolution)`` with read-only arrays: the
+    discount-free part of a grid solve.  Held by content, so built once per
+    (model, h, resolution); least recently used tables go first to hold at
+    most ``MAX_LATTICE_POINTS`` points.  The size guard on the full lattice
+    runs on every call."""
     _lattice_size(mh.n_states, resolution)
     key = (resolution, mh.n_signals, mh.transition.shape, mh.signal_map.tobytes(),
-           mh.transition.tobytes(), mh.payoff.tobytes())
+           mh.transition.tobytes(), mh.payoff.tobytes(), mh.init.tobytes())
     with _LATTICE_LOCK:
         table = _LATTICE_TABLES.pop(key, None)
         if table is None:
-            grid = _belief_lattice(mh.n_states, resolution)
-            binom = _binomials(mh.n_states, resolution)
-            table = (binom, grid @ mh.payoff,
-                     *_lattice_successors(mh, grid, resolution, binom))
+            table = _reachable_lattice(mh, resolution)
             for array in table:
                 array.flags.writeable = False
         _LATTICE_TABLES[key] = table
-        held = sum(t[1].shape[0] for t in _LATTICE_TABLES.values())
+        held = sum(t[2].shape[0] for t in _LATTICE_TABLES.values())
         while held > MAX_LATTICE_POINTS:
-            held -= _LATTICE_TABLES.pop(next(iter(_LATTICE_TABLES)))[1].shape[0]
+            held -= _LATTICE_TABLES.pop(next(iter(_LATTICE_TABLES)))[2].shape[0]
         return table
 
 
 def _belief_grid_value(mh: PomdpModel, eff, resolution):
-    """Optimal values of the projected lattice MDP by ``_policy_iteration``
-    with one sparse solve per policy over ``_lattice_table``'s successors.
-    Returns the value lookup, the Bellman residual of the returned values
-    and the number of policy evaluations."""
-    binom, payoffs, succ_mass, succ_idx = _lattice_table(mh, resolution)
+    """Optimal value at the initial belief of the projected lattice MDP:
+    ``_policy_iteration`` with one sparse solve per policy over
+    ``_lattice_table``'s reachable points, then the values at the projected
+    initial beliefs weighted by their signals' masses.  Returns that value,
+    the Bellman residual of the solved values, the number of policy
+    evaluations and the number of points."""
+    start_mass, start_rows, payoffs, succ_mass, succ_idx = _lattice_table(
+        mh, resolution)
     n_pts = payoffs.shape[0]
     rewards = eff * payoffs  # (N, A)
     rows = np.arange(n_pts)
@@ -485,23 +491,7 @@ def _belief_grid_value(mh: PomdpModel, eff, resolution):
 
     values, residual, steps = _policy_iteration(rewards, succ_mass, succ_idx,
                                                 eff, solve)
-
-    def value_at(belief):
-        row = _project_rows(belief[None, :], resolution)
-        return float(values[_lattice_rank(row, resolution, binom)[0]])
-
-    return value_at, residual, steps
-
-
-def _initial_belief_value(model, value_at):
-    """Mix the belief-value over the first observed signal."""
-    total = 0.0
-    for s in range(model.n_signals):
-        part = np.where(model.signal_map == s, model.init, 0.0)
-        mass = part.sum()
-        if mass > 0.0:
-            total += mass * value_at(part / mass)
-    return float(total)
+    return float(start_mass @ values[start_rows]), residual, steps, n_pts
 
 
 def discounted_value_estimate(model: PomdpModel, lam, h,
@@ -509,15 +499,18 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
     """Estimate the optimal discounted value at stage duration h.
 
     A fully observed model is solved over its states, exactly; otherwise
-    over the belief lattice of denominator ``grid_resolution`` with
-    nearest-point projection, flagged approximate, with ``grid_gap`` the
-    value change from half resolution (1 at resolution 2) to full; the
-    lattice and successor tables are built once per (model, h, resolution)
-    and shared across lam.  Both run policy iteration
-    from the payoff-greedy policy; ``stopping_bound`` is the final Bellman
-    residual times (1-lam*h)/(lam*h), and ``metadata["policy_steps"]``
-    counts the policy evaluations (of the full-resolution grid solve).
-    ``ValueError`` if 1 - lam*h rounds to 1, where the discount is lost.
+    over the points of the belief lattice of denominator ``grid_resolution``
+    reachable from the projected initial beliefs, with nearest-point
+    projection, flagged approximate, with ``grid_gap`` the value change from
+    half resolution (1 at resolution 2) to full and
+    ``metadata["lattice_points"]`` the full-resolution points; the reachable
+    table is built once per (model, h, resolution) and shared across lam.
+    Both run policy iteration from the payoff-greedy policy;
+    ``stopping_bound`` is the final Bellman residual over lam*h, which bounds
+    the distance of the solved values to the optimal ones, and
+    ``metadata["policy_steps"]`` counts the policy evaluations (of the
+    full-resolution grid solve).  ``ValueError`` if 1 - lam*h rounds to 1,
+    where the discount is lost.
     """
     lam, h, eff = _discount(lam, h)
     try:
@@ -533,17 +526,18 @@ def discounted_value_estimate(model: PomdpModel, lam, h,
         values, residual, steps = _tabular_discounted_value(mh, eff)
         value, mode, diagnostics = float(model.init @ values), "exact", {}
     else:
-        value_at, residual, steps = _belief_grid_value(mh, eff, grid_resolution)
-        value = _initial_belief_value(model, value_at)
+        value, residual, steps, points = _belief_grid_value(mh, eff,
+                                                            grid_resolution)
         coarse = max(2, grid_resolution // 2) if grid_resolution > 2 else 1
-        coarse_at, _, _ = _belief_grid_value(mh, eff, coarse)
+        coarse_value = _belief_grid_value(mh, eff, coarse)[0]
         mode = "approximate"
-        diagnostics = {"grid_gap": abs(value - _initial_belief_value(model, coarse_at))}
+        diagnostics = {"grid_gap": abs(value - coarse_value)}
         meta["grid_resolution"] = grid_resolution
-    stopping = residual * (1.0 - eff) / eff if eff < 1.0 else 0.0
+        meta["lattice_points"] = points
     meta["policy_steps"] = steps
     return PayoffEstimate(value, mode,
-                          diagnostics={"stopping_bound": stopping, **diagnostics},
+                          diagnostics={"stopping_bound": residual / eff,
+                                       **diagnostics},
                           metadata=meta)
 
 

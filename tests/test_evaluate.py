@@ -4,9 +4,11 @@ import math
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -454,6 +456,62 @@ def test_tabular_value_is_best_deterministic_policy(lam, h):
     assert non_greedy >= 1
 
 
+def _exact_solve(matrix, rhs):
+    """Solution of a nonsingular linear system in exact rationals, by
+    Gauss-Jordan elimination with the first nonzero pivot."""
+    n = len(matrix)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [row[n] for row in rows]
+
+
+def _exact_best_value(mh, eff, init):
+    """Optimal discounted value of ``init`` in exact rationals from the float
+    data, discount 1 - eff exactly, by policy iteration from the
+    payoff-greedy policy that switches only on a strict improvement."""
+    n_w, n_a = mh.n_states, mh.n_actions
+    eff = Fraction(eff)
+    kernel = [[[Fraction(x) for x in mh.transition[w, a]] for a in range(n_a)]
+              for w in range(n_w)]
+    rewards = [[eff * Fraction(x) for x in mh.payoff[w]] for w in range(n_w)]
+    policy = [int(np.argmax(mh.payoff[w])) for w in range(n_w)]
+    while True:
+        system = [[int(w == x) - (1 - eff) * kernel[w][policy[w]][x]
+                   for x in range(n_w)] for w in range(n_w)]
+        values = _exact_solve(system, [rewards[w][policy[w]] for w in range(n_w)])
+        q = [[rewards[w][a] + (1 - eff) * sum(p * v for p, v in zip(kernel[w][a], values))
+              for a in range(n_a)] for w in range(n_w)]
+        best = [max(range(n_a), key=q[w].__getitem__) for w in range(n_w)]
+        if all(q[w][best[w]] <= values[w] for w in range(n_w)):
+            return sum(Fraction(x) * v for x, v in zip(init, values))
+        policy = [b if q[w][b] > values[w] else a
+                  for w, (a, b) in enumerate(zip(policy, best))]
+
+
+@pytest.mark.parametrize("lam,h", [(1.0, 0.5), (0.1, 0.5), (0.01, 0.25),
+                                   (1e-3, 0.1), (1e-5, 0.1)])
+def test_tabular_stopping_bound_covers_the_exact_value(lam, h):
+    # the bound on |v* - v| is residual / (lam h); residual (1 - lam h) / (lam h)
+    # bounds |v* - T v| only, and at (1, 0.5) missed 2 of these 20 models
+    rng = np.random.default_rng(5)
+    models = [greedy_trap_model(), fully_observed_model()]
+    models += [_random_observed_model(rng, n_w, n_a)
+               for n_w, n_a in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+               for _ in range(3)]
+    for model in models:
+        mh = stage_duration_transform(model, h) if h != 1.0 else model
+        est = discounted_value_estimate(model, lam, h)
+        exact = _exact_best_value(mh, lam * h, model.init)
+        assert abs(Fraction(est.value) - exact) <= Fraction(
+            est.diagnostics["stopping_bound"])
+
+
 @pytest.mark.parametrize("model", [figure1_model, fully_observed_model])
 def test_value_estimate_rejects_lost_discount(model):
     # 1 - lam*h rounds to 1: the grid gave nan, the tabular route NotConverged
@@ -527,16 +585,6 @@ def test_project_rows_matches_per_belief_reference(n_w, resolution):
     assert (got.sum(axis=1) == resolution).all()
 
 
-@pytest.mark.parametrize("n_w,resolution",
-                         [(2, 30), (3, 24), (3, 60), (4, 12), (5, 7), (70, 2)])
-def test_lattice_rank_follows_lattice_order(n_w, resolution):
-    grid = evaluate._belief_lattice(n_w, resolution)
-    counts = np.rint(grid * resolution).astype(np.int64)
-    binom = evaluate._binomials(n_w, resolution)
-    assert np.array_equal(evaluate._lattice_rank(counts, resolution, binom),
-                          np.arange(len(grid)))
-
-
 def _reference_lattice(n_states, resolution):
     """Compositions of ``resolution`` into ``n_states`` parts by recursion,
     in lexicographic order."""
@@ -546,11 +594,13 @@ def _reference_lattice(n_states, resolution):
             for rest in _reference_lattice(n_states - 1, resolution - c)]
 
 
-@pytest.mark.parametrize("n_w,resolution", [(1, 5), (2, 30), (3, 24), (4, 12), (5, 7)])
-def test_belief_lattice_matches_recursive_reference(n_w, resolution):
-    want = np.asarray(_reference_lattice(n_w, resolution), dtype=np.float64) / resolution
-    got = evaluate._belief_lattice(n_w, resolution)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+@pytest.mark.parametrize("n_w,resolution", [(1, 5), (2, 30), (3, 24), (3, 60),
+                                            (4, 12), (5, 7), (70, 2)])
+def test_lattice_rank_follows_lattice_order(n_w, resolution):
+    counts = np.array(_reference_lattice(n_w, resolution), dtype=np.int64)
+    binom = evaluate._binomials(n_w, resolution)
+    assert np.array_equal(evaluate._lattice_rank(counts, resolution, binom),
+                          np.arange(len(counts)))
 
 
 def _reference_successors(mh, grid, resolution):
@@ -571,26 +621,91 @@ def _reference_successors(mh, grid, resolution):
     return succ_mass, succ_idx
 
 
-def test_belief_grid_matches_value_iteration():
+def _reference_lattice_mdp(mh, resolution):
+    """The full lattice MDP by ``_reference_lattice``: per-point payoffs,
+    ``_reference_successors`` and, per signal of positive initial mass, that
+    mass and the row of the projected initial belief."""
+    counts = _reference_lattice(mh.n_states, resolution)
+    grid = np.asarray(counts, dtype=np.float64) / resolution
+    index = {tuple(row): i for i, row in enumerate(counts)}
+    starts = []
+    for s in range(mh.n_signals):
+        part = np.where(mh.signal_map == s, mh.init, 0.0)
+        if part.sum() > 0.0:
+            projected = _reference_project(part / part.sum(), resolution)
+            starts.append((part.sum(), index[tuple(projected.tolist())]))
+    return (grid @ mh.payoff, *_reference_successors(mh, grid, resolution), starts)
+
+
+def _full_value_iteration(full, eff):
+    """Values of ``_reference_lattice_mdp``'s lattice by value iteration to a
+    residual of 1e-13, and the bound residual (1-eff)/eff on their distance
+    to the optimal values (the last iterate is T of the one before)."""
+    payoffs, succ_mass, succ_idx, _ = full
+    values = np.zeros(len(payoffs))
+    residual = math.inf
+    while residual > 1e-13:
+        new_values = (eff * payoffs + (1.0 - eff) * np.einsum(
+            "nas,nas->na", succ_mass, values[succ_idx])).max(axis=1)
+        residual = float(np.max(np.abs(new_values - values)))
+        values = new_values
+    return values, residual * (1.0 - eff) / eff
+
+
+def _reference_rows(table, full):
+    """Full-lattice row of each row of a ``_lattice_table``, found by walking
+    both from the initial beliefs along live successors; fails unless the
+    initial masses, per-point payoffs and successor masses agree, every row
+    is reached and no two rows are one lattice point."""
+    start_mass, start_rows, payoffs, succ_mass, succ_idx = table
+    full_payoffs, full_mass, full_idx, starts = full
+    live = np.flatnonzero(start_mass > 0.0)
+    assert np.allclose(start_mass[live], [mass for mass, _ in starts], rtol=0, atol=1e-15)
+    found = {}
+    todo = [(int(start_rows[s]), row) for s, (_, row) in zip(live, starts)]
+    while todo:
+        row, full_row = todo.pop()
+        if row in found:
+            assert found[row] == full_row
+            continue
+        found[row] = full_row
+        assert np.allclose(payoffs[row], full_payoffs[full_row], rtol=0, atol=1e-15)
+        assert np.array_equal(succ_mass[row] > 0.0, full_mass[full_row] > 0.0)
+        assert np.allclose(succ_mass[row], full_mass[full_row], rtol=0, atol=1e-15)
+        todo += [(int(succ_idx[row][k]), int(full_idx[full_row][k]))
+                 for k in zip(*np.nonzero(full_mass[full_row]))]
+    assert sorted(found) == list(range(len(payoffs)))
+    assert len(set(found.values())) == len(found)
+    return np.array([found[row] for row in range(len(found))])
+
+
+@pytest.fixture
+def solved_values(monkeypatch):
+    """The values of each ``_policy_iteration`` run during the test, in order."""
+    solved = []
+    run = evaluate._policy_iteration
+
+    def recorded(*args):
+        result = run(*args)
+        solved.append(result[0])
+        return result
+
+    monkeypatch.setattr(evaluate, "_policy_iteration", recorded)
+    return solved
+
+
+def test_belief_grid_matches_value_iteration(solved_values):
     lam, h, resolution = 0.05, 0.5, 12
     eff = lam * h
     for model in (figure1_model(), random_pomdp_model()):
         mh = stage_duration_transform(model, h)
-        grid = evaluate._belief_lattice(model.n_states, resolution)
-        succ_mass, succ_idx = _reference_successors(mh, grid, resolution)
-        rewards = grid @ mh.payoff
-        values = np.zeros(len(grid))
-        residual = math.inf
-        while residual > 1e-13:
-            new_values = (eff * rewards + (1.0 - eff) * np.einsum(
-                "nas,nas->na", succ_mass, values[succ_idx])).max(axis=1)
-            residual = float(np.max(np.abs(new_values - values)))
-            values = new_values
-        vi_bound = residual * (1.0 - eff) / eff
-        value_at, grid_residual, _ = evaluate._belief_grid_value(mh, eff, resolution)
-        got = np.array([value_at(b) for b in grid])
-        grid_bound = grid_residual * (1.0 - eff) / eff
-        assert np.max(np.abs(got - values)) <= vi_bound + grid_bound + 1e-14
+        full = _reference_lattice_mdp(mh, resolution)
+        values, vi_bound = _full_value_iteration(full, eff)
+        value, grid_residual, _, _ = evaluate._belief_grid_value(mh, eff, resolution)
+        rows = _reference_rows(evaluate._lattice_table(mh, resolution), full)
+        bound = vi_bound + grid_residual / eff + 1e-14
+        assert np.max(np.abs(solved_values[-1] - values[rows])) <= bound
+        assert abs(value - sum(mass * values[row] for mass, row in full[3])) <= bound
 
 
 def test_figure1_value_is_one_at_h1_for_every_lambda():
@@ -599,21 +714,91 @@ def test_figure1_value_is_one_at_h1_for_every_lambda():
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_belief_grid_stopping_bound_covers_bellman_residual():
+def test_belief_grid_stopping_bound_covers_bellman_residual(solved_values):
     lam, h, resolution = 0.01, 0.5, 24
     eff = lam * h
     for model in (figure1_model(), random_pomdp_model()):
         est = discounted_value_estimate(model, lam, h, resolution)
+        solved = solved_values[-2]  # the full-resolution solve runs first
         mh = stage_duration_transform(model, h)
-        grid = evaluate._belief_lattice(model.n_states, resolution)
-        value_at, _, _ = evaluate._belief_grid_value(mh, eff, resolution)
-        values = np.array([value_at(b) for b in grid])
-        succ_mass, succ_idx = evaluate._lattice_successors(
-            mh, grid, resolution, evaluate._binomials(model.n_states, resolution))
-        q = eff * (grid @ mh.payoff) + (1.0 - eff) * np.einsum(
-            "nas,nas->na", succ_mass, values[succ_idx])
-        residual = float(np.max(np.abs(q.max(axis=1) - values)))
-        assert est.diagnostics["stopping_bound"] >= residual * (1.0 - eff) / eff
+        full = _reference_lattice_mdp(mh, resolution)
+        rows = _reference_rows(evaluate._lattice_table(mh, resolution), full)
+        payoffs, succ_mass, succ_idx, starts = full
+        values = np.zeros(len(payoffs))
+        values[rows] = solved
+        q = eff * payoffs[rows] + (1.0 - eff) * np.einsum(
+            "nas,nas->na", succ_mass[rows], values[succ_idx[rows]])
+        residual = float(np.max(np.abs(q.max(axis=1) - solved)))
+        bound = est.diagnostics["stopping_bound"]
+        assert bound >= residual / eff
+        optimal, vi_bound = _full_value_iteration(full, eff)
+        assert np.max(np.abs(solved - optimal[rows])) <= bound + vi_bound + 1e-14
+        want = sum(mass * optimal[row] for mass, row in starts)
+        assert abs(est.value - want) <= bound + vi_bound + 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 4),
+       n_actions=st.integers(1, 3), n_signals=st.integers(1, 2),
+       resolution=st.integers(2, 10), h=st.sampled_from([0.3, 0.5, 1.0]),
+       lam=st.sampled_from([1.0, 0.2]))
+def test_reachable_value_matches_full_lattice_value_iteration(
+        seed, n_states, n_actions, n_signals, resolution, h, lam):
+    rng = np.random.default_rng(seed)
+    n_signals = min(n_signals, n_states - 1)  # so the grid route runs
+    raw = rng.uniform(0.1, 1.0, (n_states, n_actions, n_states))
+    raw *= rng.random(raw.shape) < 0.6
+    raw[..., 0] += raw.sum(axis=2) == 0.0
+    signal_map = np.concatenate([np.arange(n_signals),
+                                 rng.integers(0, n_signals, n_states - n_signals)])
+    init = rng.uniform(0.0, 1.0, n_states) * (rng.random(n_states) < 0.7)
+    init[0] += 0.1
+    model = make_model([f"w{i}" for i in range(n_states)],
+                       [f"a{i}" for i in range(n_actions)],
+                       [f"s{i}" for i in range(n_signals)], signal_map,
+                       rng.uniform(-1.0, 1.0, (n_states, n_actions)),
+                       raw, init, normalize=True)
+    est = discounted_value_estimate(model, lam, h, resolution)
+    assert est.mode == "approximate"
+    mh = stage_duration_transform(model, h) if h != 1.0 else model
+    full = _reference_lattice_mdp(mh, resolution)
+    _reference_rows(evaluate._lattice_table(mh, resolution), full)
+    values, vi_bound = _full_value_iteration(full, lam * h)
+    want = sum(mass * values[row] for mass, row in full[3])
+    assert abs(est.value - want) <= est.diagnostics["stopping_bound"] + vi_bound + 1e-13
+
+
+@pytest.mark.parametrize("model_fn, h, points", [
+    (figure1_model, 0.25, 317), (figure1_model, 0.5, 131), (figure1_model, 1.0, 3),
+    (random_pomdp_model, 0.25, 36), (random_pomdp_model, 0.5, 24)])
+def test_lattice_points_counts_the_reachable_closure(model_fn, h, points):
+    # of the 1,891 points of the lattice at resolution 60; the closure of the
+    # projected initial beliefs under every action and signal is unique
+    est = discounted_value_estimate(model_fn(), 0.05, h, 60)
+    assert est.metadata["lattice_points"] == points
+
+
+def test_reachable_search_expands_each_point_once(monkeypatch):
+    # a slow drift from w1 to w2 reaches new points over many depths; a
+    # search that ranks the points it already holds again at every depth
+    # does quadratic work
+    transition = np.zeros((2, 2, 2))
+    for a, drift in enumerate((0.002, 0.003)):
+        transition[0, a] = 1.0 - drift, drift
+    transition[1, :, 1] = 1.0
+    model = make_model(["w1", "w2"], ["a", "b"], ["s"], [0, 0],
+                       [[1.0, 0.0], [0.0, 0.5]], transition, [1.0, 0.0])
+    ranked = []
+    rank = evaluate._lattice_rank
+
+    def counted(counts, resolution, binom):
+        ranked.append(len(counts))
+        return rank(counts, resolution, binom)
+
+    monkeypatch.setattr(evaluate, "_lattice_rank", counted)
+    start_mass, _, payoffs, succ_mass, _ = evaluate._reachable_lattice(model, 2000)
+    assert len(payoffs) > 1000 and len(ranked) > 500
+    assert sum(ranked) == (start_mass > 0.0).sum() + (succ_mass > 0.0).sum()
 
 
 @pytest.fixture
@@ -623,8 +808,24 @@ def empty_memo(monkeypatch):
     return evaluate._LATTICE_TABLES
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """(resolution, points) of each table ``_reachable_lattice`` builds
+    during the test."""
+    built = []
+    build = evaluate._reachable_lattice
+
+    def counted(mh, resolution):
+        table = build(mh, resolution)
+        built.append((resolution, table[2].shape[0]))
+        return table
+
+    monkeypatch.setattr(evaluate, "_reachable_lattice", counted)
+    return built
+
+
 def held_points(memo):
-    return sum(table[1].shape[0] for table in memo.values())
+    return sum(table[2].shape[0] for table in memo.values())
 
 
 def test_lattice_memo_hit_and_miss_give_equal_estimates(empty_memo):
@@ -640,7 +841,7 @@ def test_lattice_memo_hit_and_miss_give_equal_estimates(empty_memo):
 def test_held_lattice_arrays_are_read_only(empty_memo):
     mh = stage_duration_transform(random_pomdp_model(), 0.5)
     table = evaluate._lattice_table(mh, 8)
-    assert len(table) == 4
+    assert len(table) == 5
     for array in table:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1
@@ -656,7 +857,7 @@ def _nudged(model, name):
     return dataclasses.replace(model, **{name: array})
 
 
-@pytest.mark.parametrize("name", ["transition", "signal_map", "payoff"])
+@pytest.mark.parametrize("name", ["transition", "signal_map", "payoff", "init"])
 def test_lattice_memo_misses_on_changed_content(empty_memo, name):
     mh = stage_duration_transform(random_pomdp_model(), 0.5)
     base = evaluate._lattice_table(mh, 8)
@@ -669,18 +870,19 @@ def test_lattice_memo_misses_on_changed_content(empty_memo, name):
         assert np.array_equal(held, fresh)
 
 
-def test_lattice_memo_evicts_to_the_point_bound(empty_memo, monkeypatch):
-    # figure 1 at resolution 12: 91 fine and 28 coarse points per h
-    monkeypatch.setattr(evaluate, "MAX_LATTICE_POINTS", 200)
-    built = 0
+def test_lattice_memo_evicts_to_the_point_bound(empty_memo, built, monkeypatch):
+    # figure 1's full lattice at resolution 12 has 91 points, the least bound
+    # its size guard lets through; each call builds resolution 12, then 6
+    monkeypatch.setattr(evaluate, "MAX_LATTICE_POINTS", 91)
     for h in (0.25, 0.5, 0.75, 1.0):
         discounted_value_estimate(figure1_model(), 0.05, h, 12)
-        built += 91 + 28
-        assert held_points(empty_memo) <= 200
-    # the last call's two tables and, least recently used, h = 0.75's coarse one
-    assert built > 200 and held_points(empty_memo) == 28 + 91 + 28
+        assert held_points(empty_memo) <= 91
+    points = [n for _, n in built]
+    assert points == [36, 16, 24, 13, 20, 9, 3, 3] and sum(points) > 91
+    # least recently used first: h = 0.75's fine table evicted h = 0.25's
+    assert held_points(empty_memo) == sum(points[1:]) == 88
     kernel = figure1_model().transition.tobytes()  # h = 1 keeps the kernel
-    assert [kernel in key for key in empty_memo] == [False, True, True]
+    assert [kernel in key for key in empty_memo] == [False] * 5 + [True] * 2
 
 
 def test_held_lattice_table_still_meets_the_size_guard(empty_memo, monkeypatch):
@@ -690,31 +892,15 @@ def test_held_lattice_table_still_meets_the_size_guard(empty_memo, monkeypatch):
         discounted_value_estimate(figure1_model(), 0.05, 0.5, 12)
 
 
-def test_asymptotic_estimate_builds_one_table_per_resolution(empty_memo, monkeypatch):
-    built = []
-    successors = evaluate._lattice_successors
-
-    def counted(mh, grid, resolution, binom):
-        built.append(resolution)
-        return successors(mh, grid, resolution, binom)
-
-    monkeypatch.setattr(evaluate, "_lattice_successors", counted)
+def test_asymptotic_estimate_builds_one_table_per_resolution(empty_memo, built):
     asymptotic_value_estimate(random_pomdp_model(), 0.5, grid_resolution=12)
-    assert sorted(built) == [6, 12]
+    assert sorted(r for r, _ in built) == [6, 12]
 
 
-def test_lattice_memo_builds_each_table_once_under_threads(empty_memo, monkeypatch):
+def test_lattice_memo_builds_each_table_once_under_threads(empty_memo, built):
     # more threads than cores asking for the same tables in the same order,
     # with a short switch interval: an unguarded memo lets two threads miss
     # the same key and build it twice
-    built = []
-    successors = evaluate._lattice_successors
-
-    def counted(mh, grid, resolution, binom):
-        built.append(resolution)
-        return successors(mh, grid, resolution, binom)
-
-    monkeypatch.setattr(evaluate, "_lattice_successors", counted)
     mh = stage_duration_transform(random_pomdp_model(), 0.5)
     got, errors = [], []
 
@@ -736,7 +922,7 @@ def test_lattice_memo_builds_each_table_once_under_threads(empty_memo, monkeypat
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert sorted(built) == list(range(2, 30))
+    assert sorted(r for r, _ in built) == list(range(2, 30))
     one = dict(got)
     assert len(got) == 4 * len(one) and all(table is one[r] for r, table in got)
 
@@ -747,8 +933,7 @@ def test_grid_gap_compares_a_coarser_lattice_at_resolution_2():
     m, lam, h = random_pomdp_model(), 0.05, 0.5
     est = discounted_value_estimate(m, lam, h, 2)
     mh = stage_duration_transform(m, h)
-    coarse_at, _, _ = evaluate._belief_grid_value(mh, lam * h, 1)
-    coarse = evaluate._initial_belief_value(m, coarse_at)
+    coarse = evaluate._belief_grid_value(mh, lam * h, 1)[0]
     assert est.diagnostics["grid_gap"] == abs(est.value - coarse)
     assert est.diagnostics["grid_gap"] > 0.01
 
