@@ -594,6 +594,16 @@ def _reference_lattice(n_states, resolution):
             for rest in _reference_lattice(n_states - 1, resolution - c)]
 
 
+@pytest.mark.parametrize("n_w,resolution", [(1, 5), (2, 30), (3, 24), (4, 12), (5, 7)])
+def test_belief_lattice_matches_recursive_reference(n_w, resolution):
+    """The lattice the reachable search walks is the recursive one: it has
+    ``_lattice_size`` points and each of its beliefs projects onto its own
+    composition."""
+    counts = np.array(_reference_lattice(n_w, resolution), dtype=np.int64)
+    assert evaluate._lattice_size(n_w, resolution) == len(counts)
+    assert np.array_equal(evaluate._project_rows(counts / resolution, resolution), counts)
+
+
 @pytest.mark.parametrize("n_w,resolution", [(1, 5), (2, 30), (3, 24), (3, 60),
                                             (4, 12), (5, 7), (70, 2)])
 def test_lattice_rank_follows_lattice_order(n_w, resolution):
