@@ -11,14 +11,16 @@ kernel gives the same law and exposes the epoch structure directly.
 :func:`simulate_batch` is the one Monte Carlo loop: all plays advance at
 once, each as one index of its state, memory and action.  A strategy with
 a controller moves it by one draw per stage from the controller's product
-kernel, built once per call; an opaque strategy's plays hold the ids of its
-cursors in a :class:`~stagepomdp.strategies.CursorTable`, draw action and
-transition in turn and then step their cursors.
+kernel, held by content like each controller's W_s stack; an opaque
+strategy's plays hold the ids of its cursors in a
+:class:`~stagepomdp.strategies.CursorTable`, draw action and transition in
+turn and then step their cursors.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,21 @@ from .model import (
     stage_duration_transform,
     validate_stage_duration,
 )
+from .memo import held_bytes, recall
 from .strategies import CursorTable, Strategy, controller_for
+
+#: bytes, keys included, that the held W_s stacks and product kernels take
+MAX_CONTROLLER_TABLE_BYTES = 1 << 25
+
+#: the memo of :func:`epoch_operators` and :func:`_kernel_table` by content
+#: key, least recently used first
+_CONTROLLER_TABLES = {}
+_CONTROLLER_LOCK = threading.Lock()
+
+
+def _held(key, build):
+    return recall(_CONTROLLER_TABLES, _CONTROLLER_LOCK, key, build,
+                  MAX_CONTROLLER_TABLE_BYTES, held_bytes)
 
 
 def worker_rng(master_seed, *key):
@@ -295,9 +311,38 @@ def _kernel_draw(keys, cols, last, rows, u):
     return cols[np.minimum(found, last[rows])]
 
 
+def _kernel_table(model, controller, h, marked):
+    """Read-only ``(keys, cols, last, init_cdf)``: the :func:`_product_kernel`
+    table of :class:`_ControllerMemory` and the CDF of its first index, held
+    by the content they are built from.  A marked kernel does not depend on
+    h; the model's payoff is keyed too, as the unmarked build's
+    :func:`~stagepomdp.model.stage_duration_transform` validates it."""
+    key = ("kernel", marked, None if marked else h, model.transition.shape,
+           controller.update.shape, model.transition.tobytes(),
+           model.signal_map.tobytes(), model.init.tobytes(), model.payoff.tobytes(),
+           controller.rule.tobytes(), controller.update.tobytes(),
+           controller.init_memory.tobytes())
+
+    def build():
+        if marked:
+            frozen = np.broadcast_to(np.eye(model.n_states)[:, None],
+                                     model.transition.shape)
+            transitions = np.stack([frozen, model.transition])
+        else:
+            transitions = stage_duration_transform(model, h).transition[None]
+        keys, cols, last = _product_kernel(transitions, controller, model.signal_map)
+        start_memory = controller.init_memory[model.signal_map]
+        law = np.zeros((model.n_states, controller.n_memory, model.n_actions))
+        law[np.arange(model.n_states), start_memory] = (
+            model.init[:, None] * controller.rule[start_memory])
+        return keys, cols, last, _cdf(law.reshape(-1))
+
+    return _held(key, build)
+
+
 class _ControllerMemory:
     """Each play's index x = (s·Q + m)·A + a, moved one stage by one draw from
-    the controller's :func:`_product_kernel`: without pinned epochs over the
+    the controller's :func:`_kernel_table`: without pinned epochs over the
     duration-h transition, with them over two blocks, frozen (T = identity)
     and marked (T = base P), a marked play reading row x + n_x.  Uniforms
     come a block of stages at a time, about :data:`UNIFORM_BLOCK` of them."""
@@ -307,19 +352,8 @@ class _ControllerMemory:
         self.n_memory = controller.n_memory
         self.n_x = model.n_states * controller.n_memory * model.n_actions
         self.n_draws = 2 if marked else 1
-        if marked:
-            frozen = np.broadcast_to(np.eye(model.n_states)[:, None],
-                                     model.transition.shape)
-            transitions = np.stack([frozen, model.transition])
-        else:
-            transitions = stage_duration_transform(model, h).transition[None]
-        self.keys, self.cols, self.last = _product_kernel(
-            transitions, controller, model.signal_map)
-        start_memory = controller.init_memory[model.signal_map]
-        law = np.zeros((model.n_states, controller.n_memory, model.n_actions))
-        law[np.arange(model.n_states), start_memory] = (
-            model.init[:, None] * controller.rule[start_memory])
-        self.init_cdf = _cdf(law.reshape(-1))
+        self.keys, self.cols, self.last, self.init_cdf = _kernel_table(
+            model, controller, h, marked)
 
     def open(self, n_plays, n_steps):
         self.block = max(1, min(n_steps, UNIFORM_BLOCK // (self.n_draws * n_plays)))
@@ -506,3 +540,16 @@ def epoch_memory_operator(matrix, h):
         a += a[..., :, k, None] * row[..., None, :]
         a[..., :, k] = 0.0
     return a[..., n:]
+
+
+def epoch_operators(controller, h):
+    """Read-only stack of W_s = E[M_s^(N-1)] at duration h, one per signal s,
+    for M_s[q, r] = sum_a rule[q, a] update[q, a, s, r]: W_s depends on the
+    controller's ``rule`` and ``update`` and on h only, so it is held by
+    their content, and a miss calls :func:`epoch_memory_operator`, with its
+    checks, once for the whole stack."""
+    rule, update = controller.rule, controller.update
+    key = ("operators", h, rule.shape, update.shape, rule.tobytes(),
+           update.tobytes())
+    return _held(key, lambda: (epoch_memory_operator(
+        np.einsum("qa,qasr->sqr", rule, update), h),))[0]

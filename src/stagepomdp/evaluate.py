@@ -20,6 +20,7 @@ from scipy.sparse.linalg import spsolve
 
 from .epochs import simulate_batch
 from .errors import BudgetExceeded, NotConverged, SingularSystem
+from .memo import recall
 from .model import (
     PomdpModel,
     is_fully_observed,
@@ -447,23 +448,15 @@ _LATTICE_LOCK = threading.Lock()
 def _lattice_table(mh: PomdpModel, resolution):
     """``_reachable_lattice(mh, resolution)`` with read-only arrays: the
     discount-free part of a grid solve.  Held by content, so built once per
-    (model, h, resolution); least recently used tables go first to hold at
-    most ``MAX_LATTICE_POINTS`` points.  The size guard on the full lattice
-    runs on every call."""
+    (model, h, resolution); after a miss, least recently used tables go
+    first to hold at most ``MAX_LATTICE_POINTS`` points.  The size guard on
+    the full lattice runs on every call."""
     _lattice_size(mh.n_states, resolution)
     key = (resolution, mh.n_signals, mh.transition.shape, mh.signal_map.tobytes(),
            mh.transition.tobytes(), mh.payoff.tobytes(), mh.init.tobytes())
-    with _LATTICE_LOCK:
-        table = _LATTICE_TABLES.pop(key, None)
-        if table is None:
-            table = _reachable_lattice(mh, resolution)
-            for array in table:
-                array.flags.writeable = False
-        _LATTICE_TABLES[key] = table
-        held = sum(t[2].shape[0] for t in _LATTICE_TABLES.values())
-        while held > MAX_LATTICE_POINTS:
-            held -= _LATTICE_TABLES.pop(next(iter(_LATTICE_TABLES)))[2].shape[0]
-        return table
+    return recall(_LATTICE_TABLES, _LATTICE_LOCK, key,
+                  lambda: _reachable_lattice(mh, resolution), MAX_LATTICE_POINTS,
+                  lambda _, table: table[2].shape[0])
 
 
 def _belief_grid_value(mh: PomdpModel, eff, resolution):

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .epochs import epoch_memory_operator, simulate_batch
+from .epochs import epoch_operators, simulate_batch
 from .errors import NoAcceptedSamples, TruncationDominates
 from .model import PomdpModel, validate_stage_duration
 from .strategies import (
@@ -264,8 +264,11 @@ class MimicStrategy(Strategy):
     given the filtered history (uniform fallback on null histories), not
     cached: cursor tables ask each history once.  ``mimic_action`` adds the
     certification data; ``mixed[s]`` is W_s of a controller source, one
-    stack computed by one :func:`~stagepomdp.epochs.epoch_memory_operator`
-    call and read by both the filtered-history walk and ``controller``.
+    read-only stack from :func:`~stagepomdp.epochs.epoch_operators`, read by
+    both the filtered-history walk and ``controller``.  That stack is held
+    by the source controller's content and h, so building a mimic of a
+    controller seen before, as each module-level call does, skips the
+    operator.
     """
 
     def __init__(self, model: PomdpModel, source: Strategy, h, n_max=None):
@@ -276,9 +279,7 @@ class MimicStrategy(Strategy):
         self.source_controller = ctrl = controller_for(model, source)
         self.mixed = None
         if ctrl is not None:
-            within = np.einsum("qa,qasr->sqr", ctrl.rule, ctrl.update)
-            # within[s] is M_s; mixed[s] is W_s
-            self.mixed = epoch_memory_operator(within, self.h)
+            self.mixed = epoch_operators(ctrl, self.h)
         elif n_max is None:
             n_max = default_truncation(self.h)
         if n_max is not None and n_max < 1:

@@ -1,4 +1,15 @@
+import pytest
+
+from stagepomdp import epochs, evaluate
 from stagepomdp.strategies import Strategy
+
+
+@pytest.fixture(autouse=True)
+def empty_memos(monkeypatch):
+    """Empty stores for the held W_s stacks, product kernels and lattice
+    tables, so that no test reads what another left held."""
+    monkeypatch.setattr(epochs, "_CONTROLLER_TABLES", {})
+    monkeypatch.setattr(evaluate, "_LATTICE_TABLES", {})
 
 
 class Opaque(Strategy):
