@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from stagepomdp import evaluate, mimic
+from stagepomdp import evaluate, mimic, strategies
 from stagepomdp.verify import random_pomdp_model
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -89,3 +89,23 @@ def test_exact_routes_machines_are_exact(tmp_path, monkeypatch):
             *evaluate.machine_product_chain(pomdp, machine))
         assert abs(average - evaluate.longrun_average_exact_fsc(
             pomdp, source, h).value) <= 1e-9
+
+
+def test_operator_span_counts_misses_only():
+    # epochs.operator_calls and epochs.operator_us read the spans of
+    # epochs.epoch_memory_operator, which the held W_s stacks call on a miss
+    tracing = _perfbench_module("tracing")
+    pomdp = random_pomdp_model()
+    source = strategies.SequenceStrategy([np.array([0.3, 0.7]), np.array([0.6, 0.4])])
+    fil = strategies.History(0, ((1, 0),))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        calls = []
+        for _ in range(3):
+            since = tracer.mark()
+            mimic.mimic_action_exact(pomdp, source, 0.5, fil)
+            calls.append(tracer.aggregate(since)["calls"]["epochs.operator"])
+    finally:
+        tracer.uninstall()
+    assert calls == [1, 0, 0]

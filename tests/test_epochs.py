@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stagepomdp import strategies
+from stagepomdp import epochs, strategies
 from stagepomdp.epochs import (
     _cdf,
+    _kernel_table,
     _ControllerMemory,
     _CursorMemory,
     _draw,
@@ -21,7 +22,7 @@ from stagepomdp.epochs import (
     simulate_gh,
     worker_rng,
 )
-from stagepomdp.errors import BudgetExceeded
+from stagepomdp.errors import BudgetExceeded, RowNotStochastic
 from stagepomdp.evaluate import controller_product_chain, discounted_payoff
 from stagepomdp.mimic import build_mimic_strategy, filtered_joint, mimic_action_exact
 from stagepomdp.model import make_model, stage_duration_transform
@@ -300,6 +301,75 @@ def test_kernel_rows_equal_direct_product(model, marked):
             law = np.zeros(dense.shape[1])
             law[cols[row]] = np.diff(np.concatenate(([r], keys[row])))
             assert np.max(np.abs(law - dense[r])) <= 1e-13, (name, r)
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("h", [0.3, 0.5, 1.0])
+def test_held_kernel_equals_a_fresh_build(h, marked):
+    m = random_pomdp_model()
+    for controller in kernel_controllers(m).values():
+        missed = _kernel_table(m, controller, h, marked)
+        hit = _ControllerMemory(m, controller, h, marked, np.random.default_rng(0))
+        assert all(a is b for a, b in zip(missed, (hit.keys, hit.cols, hit.last,
+                                                    hit.init_cdf)))
+        for array in missed:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+        plays = simulate_batch(m, controller, h, 40, 3, sums_at=[5], epochs=2 * marked)
+        epochs._CONTROLLER_TABLES.clear()
+        fresh = _kernel_table(m, controller, h, marked)
+        assert all(a is not b and a.tobytes() == b.tobytes()
+                   for a, b in zip(missed, fresh))
+        again = simulate_batch(m, controller, h, 40, 3, sums_at=[5], epochs=2 * marked)
+        assert all(np.array_equal(getattr(plays, f.name), getattr(again, f.name))
+                   for f in dataclasses.fields(plays))
+
+
+def _nudged_model(model, name):
+    """``model`` with one entry of its array ``name`` changed."""
+    array = getattr(model, name).copy()
+    if name == "signal_map":
+        array[0] = (array[0] + 1) % model.n_signals
+    else:
+        array.flat[0] = np.nextafter(array.flat[0], 2.0)
+    return dataclasses.replace(model, **{name: array})
+
+
+def test_kernel_memo_misses_on_changed_content():
+    m = random_pomdp_model()
+    controller = stochastic_update_controller(m)
+    base = {marked: _kernel_table(m, controller, 0.5, marked) for marked in (False, True)}
+    # a marked kernel does not depend on h
+    assert _kernel_table(m, controller, 0.25, True) is base[True]
+    rule = controller.rule[:, ::-1]
+    update = controller.update[..., ::-1]
+    starts = np.ones(m.n_signals, dtype=np.int64)
+    changed = [(m, controller, 0.25, False)]
+    changed += [(_nudged_model(m, name), controller, 0.5, marked)
+                for name in ("transition", "signal_map", "init", "payoff")
+                for marked in (False, True)]
+    changed += [(m, FiniteStateController(*arrays), 0.5, marked)
+                for arrays in ((controller.init_memory, rule, controller.update),
+                               (controller.init_memory, controller.rule, update),
+                               (starts, controller.rule, controller.update))
+                for marked in (False, True)]
+    for model, ctrl, h, marked in changed:
+        table = _kernel_table(model, ctrl, h, marked)
+        assert table is not base[marked]
+    assert len(epochs._CONTROLLER_TABLES) == 2 + len(changed)
+    # an edit in place after a call is new content as well
+    controller.update.flags.writeable = True
+    controller.update[0, 0, 0] = controller.update[0, 0, 0, ::-1].copy()
+    assert _kernel_table(m, controller, 0.5, True) is not base[True]
+
+
+def test_invalid_model_raises_on_every_unmarked_call():
+    m = random_pomdp_model()
+    bad = dataclasses.replace(m, transition=m.transition * 0.5)
+    for _ in range(2):
+        with pytest.raises(RowNotStochastic):
+            simulate_batch(bad, alternating_controller(m), 0.5, 5, 0, sums_at=[3])
+    assert epochs._CONTROLLER_TABLES == {}
 
 
 def epoch_laws(model, controller, h, k):

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagepomdp import strategies
-from stagepomdp.epochs import epoch_memory_operator, worker_rng
+from stagepomdp import epochs, strategies
+from stagepomdp.epochs import epoch_memory_operator, epoch_operators, worker_rng
+from stagepomdp.memo import held_bytes
 from stagepomdp.errors import (
     BudgetExceeded,
     NoAcceptedSamples,
@@ -39,6 +42,7 @@ from stagepomdp.strategies import (
     ReplayCursor,
     SequenceStrategy,
     TableStrategy,
+    controller_for,
     exact_history_distribution,
 )
 from stagepomdp.verify import (
@@ -731,3 +735,173 @@ def test_machine_built_for_table_source():
 def test_machine_none_for_opaque_source():
     m = figure1_model()
     assert build_filter_machine(m, Opaque(small_table_strategy()), 0.5) is None
+
+
+# --- the held W_s stacks ------------------------------------------------------
+
+def operator_sources(m):
+    """One source of each kind with a controller form."""
+    return {"controller": mixing_controller(m),
+            "sequence": SequenceStrategy([np.array([0.3, 0.7]), np.array([0.8, 0.2])]),
+            "table": small_table_strategy(),
+            "mimic": build_mimic_strategy(m, mixing_controller(m), 0.5)}
+
+
+def fresh_operators(controller, h):
+    within = np.einsum("qa,qasr->sqr", controller.rule, controller.update)
+    return epoch_memory_operator(within, h)
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """(shape, h) of each ``epoch_memory_operator`` call during the test."""
+    calls = []
+    build = epochs.epoch_memory_operator
+
+    def counted(matrix, h):
+        calls.append((np.shape(matrix), h))
+        return build(matrix, h)
+
+    monkeypatch.setattr(epochs, "epoch_memory_operator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["controller", "sequence", "table", "mimic"])
+def test_held_operators_equal_a_fresh_build(name, h, operator_calls):
+    m = figure1_model()
+    source = operator_sources(m)[name]
+    missed = MimicStrategy(m, source, h)
+    n_built = len(operator_calls)
+    hit = MimicStrategy(m, source, h)
+    assert hit.mixed is missed.mixed and len(operator_calls) == n_built
+    fresh = fresh_operators(controller_for(m, source), h)
+    assert hit.mixed.tobytes() == fresh.tobytes() and hit.mixed.shape == fresh.shape
+    fil = History(0, ((1, 0), (0, 0)))
+    joint, _ = hit.filtered_joint(fil)
+    epochs._CONTROLLER_TABLES.clear()
+    rebuilt = MimicStrategy(m, source, h)
+    assert rebuilt.mixed is not hit.mixed
+    assert rebuilt.filtered_joint(fil)[0].tobytes() == joint.tobytes()
+    for got, want in zip(vars(hit.controller(m.n_signals)).values(),
+                         vars(rebuilt.controller(m.n_signals)).values()):
+        assert np.array_equal(got, want)
+
+
+def test_held_operators_are_read_only():
+    m = figure1_model()
+    mixed = MimicStrategy(m, mixing_controller(m), 0.5).mixed
+    assert mixed is epoch_operators(mixing_controller(m), 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        mixed.flat[0] = 0.5
+
+
+def _changed(controller, name):
+    """``controller`` with its rule's actions or its update's next memories
+    reversed, still a controller."""
+    rule, update = controller.rule, controller.update
+    if name == "rule":
+        rule = rule[:, ::-1]
+    else:
+        update = update[..., ::-1]
+    return FiniteStateController(controller.init_memory, rule, update)
+
+
+def test_operator_memo_misses_on_changed_content(operator_calls):
+    m = figure1_model()
+    source = mixing_controller(m)
+    base = epoch_operators(source, 0.5)
+    for controller, h in ((source, np.nextafter(0.5, 1.0)),
+                          (_changed(source, "rule"), 0.5),
+                          (_changed(source, "update"), 0.5)):
+        mixed = epoch_operators(controller, h)
+        assert mixed is not base
+        assert mixed.tobytes() == fresh_operators(controller, h).tobytes()
+    assert len(operator_calls) == 4 == len(epochs._CONTROLLER_TABLES)
+    # an edit in place after a call is new content as well
+    source.rule.flags.writeable = True
+    source.rule[0] = [0.6, 0.4]
+    edited = MimicStrategy(m, source, 0.5).mixed
+    assert edited is not base and len(operator_calls) == 5
+    assert edited.tobytes() == fresh_operators(source, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("entry", [np.nan, 0.5])
+def test_invalid_controller_raises_on_every_call(entry):
+    m = figure1_model()
+    source = mixing_controller(m)
+    source.update.flags.writeable = True
+    source.update[0, 0, 0, 0] = entry
+    for _ in range(2):
+        with pytest.raises(ValueError, match="stochastic"):
+            MimicStrategy(m, source, 0.5)
+    assert epochs._CONTROLLER_TABLES == {}
+
+
+def test_operator_memo_evicts_to_the_byte_bound(monkeypatch, operator_calls):
+    m = figure1_model()
+    sources = [mixing_controller(m), _changed(mixing_controller(m), "rule"),
+               _changed(mixing_controller(m), "update")]
+    store = epochs._CONTROLLER_TABLES
+    epoch_operators(sources[0], 0.5)
+    (size,) = [held_bytes(key, value) for key, value in store.items()]
+    monkeypatch.setattr(epochs, "MAX_CONTROLLER_TABLE_BYTES", 2 * size)
+    first = epoch_operators(sources[1], 0.5)
+    epoch_operators(sources[0], 0.5)  # a hit makes it the most recent
+    epoch_operators(sources[2], 0.5)
+    assert len(operator_calls) == 3 and len(store) == 2
+    # least recently used first: sources[1] went, sources[0] stayed
+    assert epoch_operators(sources[0], 0.5) is not first and len(operator_calls) == 3
+    assert epoch_operators(sources[1], 0.5) is not first and len(operator_calls) == 4
+    assert sum(held_bytes(*entry) for entry in store.items()) <= 2 * size
+    # an entry larger than the bound is built and returned, never held
+    monkeypatch.setattr(epochs, "MAX_CONTROLLER_TABLE_BYTES", size - 1)
+    store.clear()
+    for _ in range(2):
+        mixed = epoch_operators(sources[0], 0.5)
+        assert not mixed.flags.writeable
+    assert store == {} and len(operator_calls) == 6
+
+
+def test_memo_builds_each_stack_and_kernel_once_under_threads(operator_calls,
+                                                           monkeypatch):
+    # more threads than cores asking for the same stacks and kernels in the
+    # same order, with a short switch interval: an unguarded memo lets two
+    # threads miss the same key and build it twice
+    kernels = []
+    build = epochs._product_kernel
+
+    def counted(*args):
+        kernels.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(epochs, "_product_kernel", counted)
+    m = random_pomdp_model()
+    sources = [mixing_controller(m), alternating_controller(m), uniform_controller(m)]
+    keys = [(i, h) for i in range(len(sources)) for h in (0.2, 0.4, 0.6, 0.8)]
+    got, errors = [], []
+
+    def work():
+        try:
+            for i, h in keys:
+                got.append(((i, h), MimicStrategy(m, sources[i], h).mixed))
+                got.append(((i, h, "kernel"),
+                            epochs._kernel_table(m, sources[i], h, False)))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(operator_calls) == len(kernels) == len(keys)
+    one = dict(got)
+    assert len(got) == 4 * len(one) and all(held is one[key] for key, held in got)
