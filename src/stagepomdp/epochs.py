@@ -20,7 +20,6 @@ turn and then step their cursors.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,22 +30,8 @@ from .model import (
     stage_duration_transform,
     validate_stage_duration,
 )
-from .memo import held_bytes, recall
+from .memo import recall
 from .strategies import CursorTable, Strategy, controller_for
-
-#: bytes, keys included, that the held W_s stacks and product kernels take
-MAX_CONTROLLER_TABLE_BYTES = 1 << 25
-
-#: the memo of :func:`epoch_operators` and :func:`_kernel_table` by content
-#: key, least recently used first
-_CONTROLLER_TABLES = {}
-_CONTROLLER_LOCK = threading.Lock()
-
-
-def _held(key, build):
-    return recall(_CONTROLLER_TABLES, _CONTROLLER_LOCK, key, build,
-                  MAX_CONTROLLER_TABLE_BYTES, held_bytes)
-
 
 def worker_rng(master_seed, *key):
     """Derive a reproducible per-worker stream from a master seed.
@@ -317,12 +302,6 @@ def _kernel_table(model, controller, h, marked):
     by the content they are built from.  A marked kernel does not depend on
     h; the model's payoff is keyed too, as the unmarked build's
     :func:`~stagepomdp.model.stage_duration_transform` validates it."""
-    key = ("kernel", marked, None if marked else h, model.transition.shape,
-           controller.update.shape, model.transition.tobytes(),
-           model.signal_map.tobytes(), model.init.tobytes(), model.payoff.tobytes(),
-           controller.rule.tobytes(), controller.update.tobytes(),
-           controller.init_memory.tobytes())
-
     def build():
         if marked:
             frozen = np.broadcast_to(np.eye(model.n_states)[:, None],
@@ -337,7 +316,10 @@ def _kernel_table(model, controller, h, marked):
             model.init[:, None] * controller.rule[start_memory])
         return keys, cols, last, _cdf(law.reshape(-1))
 
-    return _held(key, build)
+    return recall(("kernel", marked, None if marked else h),
+                  (model.transition, model.signal_map, model.init, model.payoff,
+                   controller.rule, controller.update, controller.init_memory),
+                  build)
 
 
 class _ControllerMemory:
@@ -549,7 +531,5 @@ def epoch_operators(controller, h):
     their content, and a miss calls :func:`epoch_memory_operator`, with its
     checks, once for the whole stack."""
     rule, update = controller.rule, controller.update
-    key = ("operators", h, rule.shape, update.shape, rule.tobytes(),
-           update.tobytes())
-    return _held(key, lambda: (epoch_memory_operator(
+    return recall(("operators", h), (rule, update), lambda: (epoch_memory_operator(
         np.einsum("qa,qasr->sqr", rule, update), h),))[0]

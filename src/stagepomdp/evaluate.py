@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,23 +439,15 @@ def _reachable_lattice(mh: PomdpModel, resolution):
     return (start_mass, start_rows, *map(np.concatenate, zip(*tables)))
 
 
-#: ``_lattice_table``'s memo by content key, least recently used first
-_LATTICE_TABLES = {}
-_LATTICE_LOCK = threading.Lock()
-
-
 def _lattice_table(mh: PomdpModel, resolution):
     """``_reachable_lattice(mh, resolution)`` with read-only arrays: the
-    discount-free part of a grid solve.  Held by content, so built once per
-    (model, h, resolution); after a miss, least recently used tables go
-    first to hold at most ``MAX_LATTICE_POINTS`` points.  The size guard on
-    the full lattice runs on every call."""
+    discount-free part of a grid solve, held by content on the memo, so
+    built once per (model, h, resolution).  The size guard on the full
+    lattice runs on every call."""
     _lattice_size(mh.n_states, resolution)
-    key = (resolution, mh.n_signals, mh.transition.shape, mh.signal_map.tobytes(),
-           mh.transition.tobytes(), mh.payoff.tobytes(), mh.init.tobytes())
-    return recall(_LATTICE_TABLES, _LATTICE_LOCK, key,
-                  lambda: _reachable_lattice(mh, resolution), MAX_LATTICE_POINTS,
-                  lambda _, table: table[2].shape[0])
+    return recall(("lattice", resolution, mh.n_signals),
+                  (mh.signal_map, mh.transition, mh.payoff, mh.init),
+                  lambda: _reachable_lattice(mh, resolution))
 
 
 def _belief_grid_value(mh: PomdpModel, eff, resolution):

@@ -1,37 +1,53 @@
 """One memo for the tables the program derives from a model or controller.
 
-A store is a plain dict from a content key (the bytes and shapes of every
-array the table is built from) to a tuple of read-only arrays, least
-recently used first.  Its owner keeps the store, its lock and its bound as
-module attributes and passes them on each call, so they are read at call
-time.
+The store maps a content key (a tag, then the shape and bytes of every
+array a table is built from) to a tuple of read-only arrays, least recently
+used first.  It is the one store of the program's held tables: a
+controller's W_s stack and product kernel and a model's belief-lattice
+table all share its lock and its byte bound.
 """
 
 from __future__ import annotations
 
+import threading
 
-def recall(store, lock, key, build, bound, size):
-    """``store[key]``, or on a miss ``build()``, a tuple of arrays, made
-    read-only and held; after a miss the least recently used entries go until
-    the held entries' ``size(key, value)`` add up to at most ``bound``.  An
-    entry larger than ``bound`` is returned but not held.  The build runs
-    under ``lock``, so concurrent callers build each key once, and a build
-    that raises holds nothing."""
-    with lock:
-        value = store.pop(key, None)
+#: bytes, keys included, that the held tables take together
+MAX_HELD_BYTES = 1 << 25
+
+#: content key -> tuple of read-only arrays, least recently used first
+_STORE = {}
+_LOCK = threading.Lock()
+
+
+def recall(tag, arrays, build):
+    """The tables ``build()`` returns, a tuple of arrays made read-only, held
+    by the content key of ``tag`` and ``arrays``: a hit returns the held
+    tuple.  After a miss the least recently used entries go until the held
+    entries' :func:`held_bytes` add up to at most ``MAX_HELD_BYTES``; an
+    entry larger than the bound is returned but not held.  The build runs
+    under the one lock, so concurrent callers build each key once, and a
+    build that raises holds nothing.  The lock is not reentrant: a build
+    may not call :func:`recall`."""
+    key = [tag]
+    for array in arrays:
+        key.append(array.shape)
+        key.append(array.tobytes())
+    key = tuple(key)
+    with _LOCK:
+        value = _STORE.pop(key, None)
         if value is not None:
-            store[key] = value
+            _STORE[key] = value
             return value
         value = build()
         for array in value:
             array.flags.writeable = False
-        if size(key, value) > bound:
+        if held_bytes(key, value) > MAX_HELD_BYTES:
             return value
-        store[key] = value
-        held = sum(size(k, v) for k, v in store.items())
-        while held > bound:
-            oldest = next(iter(store))
-            held -= size(oldest, store.pop(oldest))
+        _STORE[key] = value
+        held = sum(held_bytes(k, v) for k, v in _STORE.items())
+        while held > MAX_HELD_BYTES:
+            oldest = next(iter(_STORE))
+            held -= held_bytes(oldest, _STORE.pop(oldest))
         return value
 
 

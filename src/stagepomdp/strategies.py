@@ -306,6 +306,9 @@ class FiniteStateController(Strategy):
                              f"expected ({self.n_signals},)")
         if np.any(self.init_memory < 0) or np.any(self.init_memory >= self.n_memory):
             raise ValueError("init_memory out of range")
+        if not len(self.memory_names) == len(set(self.memory_names)) == self.n_memory:
+            raise ValueError(f"memory_names {self.memory_names!r} are not "
+                             f"{self.n_memory} distinct names")
         for q in range(self.n_memory):
             validate_mixed_action(self.rule[q], self.n_actions)
         if not is_stochastic(self.update):

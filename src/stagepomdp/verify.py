@@ -17,6 +17,7 @@ import numpy as np
 from .epochs import simulate_batch, worker_rng
 from .errors import GapBoundViolated, NotFullyObserved
 from .evaluate import (
+    DEFAULT_LAMBDA_GRID,
     TRAILING_WINDOW,
     asymptotic_value_estimate,
     discounted_value_estimate,
@@ -433,7 +434,7 @@ def _example_suite(seed):
         0.1, "upper", metadata={"diagnostics": dict(est.diagnostics)},
     ))
     reports.append(check_monotonicity(
-        fig1, (0.25, 0.5, 0.75, 1.0), (0.1, 0.05, 0.02, 0.01, 0.005)
+        fig1, (0.25, 0.5, 0.75, 1.0), DEFAULT_LAMBDA_GRID
     ))
     return reports
 
@@ -496,7 +497,7 @@ def _fully_observed_suite(seed):
         for h in (0.3, 0.7):
             reports.append(check_fully_observed_identity(model, lam, h))
     reports.append(check_monotonicity(
-        model, (0.25, 0.5, 0.75, 1.0), (0.1, 0.05, 0.02, 0.01, 0.005)
+        model, (0.25, 0.5, 0.75, 1.0), DEFAULT_LAMBDA_GRID
     ))
     return reports
 

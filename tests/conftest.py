@@ -1,15 +1,14 @@
 import pytest
 
-from stagepomdp import epochs, evaluate
+from stagepomdp import memo
 from stagepomdp.strategies import Strategy
 
 
 @pytest.fixture(autouse=True)
 def empty_memos(monkeypatch):
-    """Empty stores for the held W_s stacks, product kernels and lattice
-    tables, so that no test reads what another left held."""
-    monkeypatch.setattr(epochs, "_CONTROLLER_TABLES", {})
-    monkeypatch.setattr(evaluate, "_LATTICE_TABLES", {})
+    """An empty memo store for the held W_s stacks, product kernels and
+    lattice tables, so that no test reads what another left held."""
+    monkeypatch.setattr(memo, "_STORE", {})
 
 
 class Opaque(Strategy):

@@ -1,5 +1,7 @@
 """The benchmark under perfbench/ wraps the program's public functions by
-name; every name it wraps must exist, or traced runs fail when they start."""
+name; every name it wraps must exist, or traced runs fail when they start.
+Its rounds repeat the same calls, so after the first they must find every
+table they need held on the memo."""
 
 import importlib
 import inspect
@@ -7,8 +9,9 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
-from stagepomdp import evaluate, mimic, strategies
+from stagepomdp import epochs, evaluate, memo, mimic, strategies
 from stagepomdp.verify import random_pomdp_model
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -109,3 +112,34 @@ def test_operator_span_counts_misses_only():
     finally:
         tracer.uninstall()
     assert calls == [1, 0, 0]
+
+
+@pytest.mark.parametrize("name, kinds", [("exact-routes", {"operators"}),
+                                         ("monte-carlo", {"kernel", "operators"}),
+                                         ("value-sweep", {"lattice"})])
+def test_second_round_builds_no_held_table(name, kinds, tmp_path, monkeypatch):
+    # every round after the first finds each W_s stack, product kernel and
+    # lattice table it needs held, and what is held fits the memo's bound
+    workloads = _perfbench_module("workloads")
+    monkeypatch.setattr(workloads, "OUT_DIR", str(tmp_path))
+    builds = []
+    for module, builder in ((epochs, "epoch_memory_operator"),
+                            (epochs, "_product_kernel"),
+                            (evaluate, "_reachable_lattice")):
+        def counted(*args, _build=getattr(module, builder), _name=builder):
+            builds.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(module, builder, counted)
+    workload = workloads.make(name, 1)
+    try:
+        workload.run_round()
+        assert builds
+        builds.clear()
+        workload.run_round()
+    finally:
+        workload.close()
+    assert builds == []
+    assert {key[0][0] for key in memo._STORE} == kinds
+    assert (sum(memo.held_bytes(*entry) for entry in memo._STORE.items())
+            <= memo.MAX_HELD_BYTES)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stagepomdp import epochs, strategies
+from stagepomdp import memo, strategies
 from stagepomdp.epochs import (
     _cdf,
     _kernel_table,
@@ -316,7 +316,7 @@ def test_held_kernel_equals_a_fresh_build(h, marked):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
         plays = simulate_batch(m, controller, h, 40, 3, sums_at=[5], epochs=2 * marked)
-        epochs._CONTROLLER_TABLES.clear()
+        memo._STORE.clear()
         fresh = _kernel_table(m, controller, h, marked)
         assert all(a is not b and a.tobytes() == b.tobytes()
                    for a, b in zip(missed, fresh))
@@ -356,7 +356,7 @@ def test_kernel_memo_misses_on_changed_content():
     for model, ctrl, h, marked in changed:
         table = _kernel_table(model, ctrl, h, marked)
         assert table is not base[marked]
-    assert len(epochs._CONTROLLER_TABLES) == 2 + len(changed)
+    assert len(memo._STORE) == 2 + len(changed)
     # an edit in place after a call is new content as well
     controller.update.flags.writeable = True
     controller.update[0, 0, 0] = controller.update[0, 0, 0, ::-1].copy()
@@ -369,7 +369,7 @@ def test_invalid_model_raises_on_every_unmarked_call():
     for _ in range(2):
         with pytest.raises(RowNotStochastic):
             simulate_batch(bad, alternating_controller(m), 0.5, 5, 0, sums_at=[3])
-    assert epochs._CONTROLLER_TABLES == {}
+    assert memo._STORE == {}
 
 
 def epoch_laws(model, controller, h, k):

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from stagepomdp import evaluate
-from stagepomdp.epochs import worker_rng
+from stagepomdp import evaluate, memo
+from stagepomdp.epochs import epoch_operators, worker_rng
 from stagepomdp.errors import BudgetExceeded, NotConverged
 from stagepomdp.evaluate import (
     DEFAULT_LAMBDA_GRID,
@@ -812,10 +812,9 @@ def test_reachable_search_expands_each_point_once(monkeypatch):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    """A fresh lattice-table memo for the test, the old one put back after."""
-    monkeypatch.setattr(evaluate, "_LATTICE_TABLES", {})
-    return evaluate._LATTICE_TABLES
+def empty_memo(empty_memos):
+    """The memo's one store, empty at the start of the test."""
+    return memo._STORE
 
 
 @pytest.fixture
@@ -832,10 +831,6 @@ def built(monkeypatch):
 
     monkeypatch.setattr(evaluate, "_reachable_lattice", counted)
     return built
-
-
-def held_points(memo):
-    return sum(table[2].shape[0] for table in memo.values())
 
 
 def test_lattice_memo_hit_and_miss_give_equal_estimates(empty_memo):
@@ -880,19 +875,38 @@ def test_lattice_memo_misses_on_changed_content(empty_memo, name):
         assert np.array_equal(held, fresh)
 
 
-def test_lattice_memo_evicts_to_the_point_bound(empty_memo, built, monkeypatch):
-    # figure 1's full lattice at resolution 12 has 91 points, the least bound
-    # its size guard lets through; each call builds resolution 12, then 6
-    monkeypatch.setattr(evaluate, "MAX_LATTICE_POINTS", 91)
-    for h in (0.25, 0.5, 0.75, 1.0):
-        discounted_value_estimate(figure1_model(), 0.05, h, 12)
-        assert held_points(empty_memo) <= 91
-    points = [n for _, n in built]
-    assert points == [36, 16, 24, 13, 20, 9, 3, 3] and sum(points) > 91
-    # least recently used first: h = 0.75's fine table evicted h = 0.25's
-    assert held_points(empty_memo) == sum(points[1:]) == 88
-    kernel = figure1_model().transition.tobytes()  # h = 1 keeps the kernel
-    assert [kernel in key for key in empty_memo] == [False] * 5 + [True] * 2
+def test_lattice_and_controller_tables_evict_each_other(empty_memo, built,
+                                                        monkeypatch):
+    # one byte bound holds the lattice tables and the W_s stacks together,
+    # and a miss of either kind evicts the least recently used entry first
+    m = figure1_model()
+    mh = stage_duration_transform(m, 0.5)
+    controller = mixing_controller(m)
+    lattice = ("lattice", 8, mh.n_signals)
+    table = evaluate._lattice_table(mh, 8)
+    stack = epoch_operators(controller, 0.5)
+    sizes = [memo.held_bytes(*entry) for entry in empty_memo.items()]
+    assert sizes[0] > sizes[1]  # the table is larger than a stack
+    monkeypatch.setattr(memo, "MAX_HELD_BYTES", sum(sizes))
+
+    def held():
+        assert (sum(memo.held_bytes(*entry) for entry in empty_memo.items())
+                <= sum(sizes))
+        return [key[0] for key in empty_memo]
+
+    assert held() == [lattice, ("operators", 0.5)]
+    epoch_operators(controller, 0.25)  # a stack evicts the table
+    assert held() == [("operators", 0.5), ("operators", 0.25)]
+    assert epoch_operators(controller, 0.5) is stack  # now the most recent
+    rebuilt = evaluate._lattice_table(mh, 8)  # the table evicts h = 0.25's stack
+    assert rebuilt is not table and [r for r, _ in built] == [8, 8]
+    assert held() == [("operators", 0.5), lattice]
+    # a table larger than the bound is built and returned, never held
+    monkeypatch.setattr(memo, "MAX_HELD_BYTES", sizes[0] - 1)
+    empty_memo.clear()
+    for _ in range(2):
+        assert not evaluate._lattice_table(mh, 8)[2].flags.writeable
+    assert empty_memo == {} and [r for r, _ in built] == [8] * 4
 
 
 def test_held_lattice_table_still_meets_the_size_guard(empty_memo, monkeypatch):

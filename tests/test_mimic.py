@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagepomdp import epochs, strategies
+from stagepomdp import epochs, memo, strategies
 from stagepomdp.epochs import epoch_memory_operator, epoch_operators, worker_rng
 from stagepomdp.memo import held_bytes
 from stagepomdp.errors import (
@@ -779,7 +779,7 @@ def test_held_operators_equal_a_fresh_build(name, h, operator_calls):
     assert hit.mixed.tobytes() == fresh.tobytes() and hit.mixed.shape == fresh.shape
     fil = History(0, ((1, 0), (0, 0)))
     joint, _ = hit.filtered_joint(fil)
-    epochs._CONTROLLER_TABLES.clear()
+    memo._STORE.clear()
     rebuilt = MimicStrategy(m, source, h)
     assert rebuilt.mixed is not hit.mixed
     assert rebuilt.filtered_joint(fil)[0].tobytes() == joint.tobytes()
@@ -817,7 +817,7 @@ def test_operator_memo_misses_on_changed_content(operator_calls):
         mixed = epoch_operators(controller, h)
         assert mixed is not base
         assert mixed.tobytes() == fresh_operators(controller, h).tobytes()
-    assert len(operator_calls) == 4 == len(epochs._CONTROLLER_TABLES)
+    assert len(operator_calls) == 4 == len(memo._STORE)
     # an edit in place after a call is new content as well
     source.rule.flags.writeable = True
     source.rule[0] = [0.6, 0.4]
@@ -835,17 +835,17 @@ def test_invalid_controller_raises_on_every_call(entry):
     for _ in range(2):
         with pytest.raises(ValueError, match="stochastic"):
             MimicStrategy(m, source, 0.5)
-    assert epochs._CONTROLLER_TABLES == {}
+    assert memo._STORE == {}
 
 
 def test_operator_memo_evicts_to_the_byte_bound(monkeypatch, operator_calls):
     m = figure1_model()
     sources = [mixing_controller(m), _changed(mixing_controller(m), "rule"),
                _changed(mixing_controller(m), "update")]
-    store = epochs._CONTROLLER_TABLES
+    store = memo._STORE
     epoch_operators(sources[0], 0.5)
     (size,) = [held_bytes(key, value) for key, value in store.items()]
-    monkeypatch.setattr(epochs, "MAX_CONTROLLER_TABLE_BYTES", 2 * size)
+    monkeypatch.setattr(memo, "MAX_HELD_BYTES", 2 * size)
     first = epoch_operators(sources[1], 0.5)
     epoch_operators(sources[0], 0.5)  # a hit makes it the most recent
     epoch_operators(sources[2], 0.5)
@@ -855,7 +855,7 @@ def test_operator_memo_evicts_to_the_byte_bound(monkeypatch, operator_calls):
     assert epoch_operators(sources[1], 0.5) is not first and len(operator_calls) == 4
     assert sum(held_bytes(*entry) for entry in store.items()) <= 2 * size
     # an entry larger than the bound is built and returned, never held
-    monkeypatch.setattr(epochs, "MAX_CONTROLLER_TABLE_BYTES", size - 1)
+    monkeypatch.setattr(memo, "MAX_HELD_BYTES", size - 1)
     store.clear()
     for _ in range(2):
         mixed = epoch_operators(sources[0], 0.5)

@@ -25,7 +25,12 @@ from stagepomdp.strategies import (
     sequence_as_controller,
     uniform_action,
 )
-from stagepomdp.verify import alternating_controller, figure1_model, random_pomdp_model
+from stagepomdp.verify import (
+    alternating_controller,
+    figure1_model,
+    mixing_controller,
+    random_pomdp_model,
+)
 
 
 def all_histories(model, depth):
@@ -221,6 +226,16 @@ def test_controller_rejects_init_memory_shape():
         FiniteStateController([0], [[0.5, 0.5]], np.ones((1, 2, 2, 1)))
     with pytest.raises(ValueError):
         FiniteStateController([[0]], [[0.5, 0.5]], np.ones((1, 2, 1, 1)))
+
+
+@pytest.mark.parametrize("names", [("only",), ("q0", "q1", "q2"), ("q0", "q0")])
+def test_controller_rejects_memory_names_not_one_per_memory(names):
+    # the serializer zips the names against the memories, so a wrong count
+    # or a repeat would write a different controller
+    ctrl = mixing_controller(random_pomdp_model())
+    with pytest.raises(ValueError, match="distinct names"):
+        FiniteStateController(ctrl.init_memory, ctrl.rule, ctrl.update,
+                              memory_names=names)
 
 
 def test_sequence_as_controller_equivalent_mixed():
